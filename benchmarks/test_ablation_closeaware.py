@@ -25,7 +25,7 @@ def comparison():
     results = {}
 
     plain = BitmapFilter(SMALL.bitmap_config(), trace.protected)
-    verdicts = plain.process_batch(packets, exact=True)
+    verdicts = plain.process_batch(packets)
     confusion, _ = score_run(packets, verdicts, incoming, trace.duration)
     results["bitmap"] = (confusion, plain.config.memory_bytes, 0)
 

@@ -63,18 +63,10 @@ class TestSpiVariantsAgree:
 class TestFilterThroughput:
     """Packets/second of each filter path on the clean trace."""
 
-    def test_bitmap_exact_batch(self, benchmark, scale, medium_trace):
+    def test_bitmap_batch(self, benchmark, scale, medium_trace):
         def run():
             filt = BitmapFilter(scale.bitmap_config(), medium_trace.protected)
-            return filt.process_batch(medium_trace.packets, exact=True)
-
-        verdicts = benchmark.pedantic(run, rounds=1, iterations=1)
-        assert len(verdicts) == len(medium_trace)
-
-    def test_bitmap_windowed_batch(self, benchmark, scale, medium_trace):
-        def run():
-            filt = BitmapFilter(scale.bitmap_config(), medium_trace.protected)
-            return filt.process_batch(medium_trace.packets, exact=False)
+            return filt.process_batch(medium_trace.packets)
 
         verdicts = benchmark.pedantic(run, rounds=1, iterations=1)
         assert len(verdicts) == len(medium_trace)

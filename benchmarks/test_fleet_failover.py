@@ -55,8 +55,7 @@ def _offline_reference(info: dict, packets) -> np.ndarray:
     policy = FailPolicy(fcfg.pop("fail_policy"))
     protected = AddressSpace(info["protected"])
     twin = BitmapFilter(FilterConfig(**fcfg), protected, fail_policy=policy)
-    result = run_filter_on_trace(twin, Trace(packets, protected),
-                                 exact=info["exact"])
+    result = run_filter_on_trace(twin, Trace(packets, protected))
     return np.asarray(result.verdicts, dtype=bool)
 
 

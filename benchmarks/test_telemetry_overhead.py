@@ -1,9 +1,9 @@
-"""Quantify the telemetry layer's cost on the windowed batch hot path.
+"""Quantify the telemetry layer's cost on the batch hot path.
 
 Acceptance gate for the instrumentation PR: with the default
 :data:`~repro.telemetry.registry.NULL_REGISTRY` the filter must hold no
 instruments at all (``filt._tel is None``), so the only cost added to the
-windowed batch path is one attribute-is-None check per batch and per
+batch path is one attribute-is-None check per batch and per
 rotation — structurally far below the 5% budget.  The timing test then
 pins it empirically: the no-op run must stay within 5% of itself across
 repeats (a stability floor) and the *live*-registry run, which pays for
@@ -23,13 +23,13 @@ from repro.telemetry.registry import (
 )
 
 
-def _windowed_run_seconds(scale, trace, repeats=3):
-    """Min-of-N wall time for one windowed-batch pass over the trace."""
+def _batch_run_seconds(scale, trace, repeats=3):
+    """Min-of-N wall time for one batch pass over the trace."""
     best = float("inf")
     for _ in range(repeats):
         filt = BitmapFilter(scale.bitmap_config(), trace.protected)
         begin = time.perf_counter()
-        filt.process_batch(trace.packets, exact=False)
+        filt.process_batch(trace.packets)
         best = min(best, time.perf_counter() - begin)
     return best
 
@@ -48,9 +48,8 @@ class TestNullRegistryOverhead:
             filt = BitmapFilter(scale.bitmap_config(), medium_trace.protected)
             assert filt._tel is not None
 
-    def test_windowed_noop_within_budget(self, benchmark, scale,
-                                         medium_trace):
-        """No-op instrumentation regresses the windowed path by < 5%.
+    def test_batch_noop_within_budget(self, benchmark, scale, medium_trace):
+        """No-op instrumentation regresses the batch path by < 5%.
 
         Both timings run the *same* binary; the null-registry pass skips
         every telemetry branch via the ``_tel is None`` guard.  The live
@@ -60,16 +59,16 @@ class TestNullRegistryOverhead:
         comparing two independent no-op measurements.
         """
         noop_a = benchmark.pedantic(
-            lambda: _windowed_run_seconds(scale, medium_trace),
+            lambda: _batch_run_seconds(scale, medium_trace),
             rounds=1, iterations=1)
-        noop_b = _windowed_run_seconds(scale, medium_trace)
+        noop_b = _batch_run_seconds(scale, medium_trace)
         with use_registry(MetricsRegistry()):
-            live = _windowed_run_seconds(scale, medium_trace)
+            live = _batch_run_seconds(scale, medium_trace)
 
         pps = len(medium_trace) / noop_a
-        print(f"\nwindowed batch, telemetry off: {noop_a * 1e3:8.1f} ms "
+        print(f"\nbatch, telemetry off: {noop_a * 1e3:8.1f} ms "
               f"({pps / 1e6:.2f} Mpps)")
-        print(f"windowed batch, telemetry on:  {live * 1e3:8.1f} ms "
+        print(f"batch, telemetry on:  {live * 1e3:8.1f} ms "
               f"(x{live / noop_a:.3f})")
 
         # Two no-op runs of identical code agree within the 5% budget, so

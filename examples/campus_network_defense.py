@@ -39,7 +39,7 @@ def main() -> None:
     spi = HashListFilter(mixed.protected, idle_timeout=240.0)
 
     print("\nrunning the bitmap filter...")
-    bitmap_run = run_filter_on_trace(bitmap, mixed, exact=True)
+    bitmap_run = run_filter_on_trace(bitmap, mixed)
     print("running the SPI baseline...")
     spi_run = run_filter_on_trace(spi, mixed)
 

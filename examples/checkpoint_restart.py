@@ -25,7 +25,7 @@ def drop_rate_after(filt, packets, protected, start_ts, window=20.0):
     """Incoming drop rate inside the first Te-long window after start_ts —
     the period a cold filter spends re-learning the flow population."""
     tail = packets[(packets.ts >= start_ts) & (packets.ts < start_ts + window)]
-    verdicts = filt.process_batch(tail, exact=True)
+    verdicts = filt.process_batch(tail)
     incoming = tail.directions(protected) == 1
     return float((~verdicts[incoming]).mean())
 
@@ -42,7 +42,7 @@ def main() -> None:
 
     # Warm a filter on the first half of the day.
     filt = BitmapFilter(config, trace.protected)
-    filt.process_batch(first_half, exact=True)
+    filt.process_batch(first_half)
     print(f"filter warmed: utilization {filt.utilization():.4f}, "
           f"{filt.stats.outgoing} outgoing packets seen")
 

@@ -55,7 +55,7 @@ def main() -> None:
                                 rotation_interval=5.0)
 
     def evaluate(label, deployment):
-        verdicts = deployment.process_batch(combined.packets, exact=True)
+        verdicts = deployment.process_batch(combined.packets)
         incoming = combined.packets.directions(combined_space) == 1
         confusion, _ = score_run(combined.packets, verdicts, incoming, 60.0)
         print(f"  {label:<34} attack filtered {confusion.attack_filter_rate * 100:6.2f}%"

@@ -59,7 +59,7 @@ def main() -> None:
                            rotation_interval=5.0),
         trace.protected,
     )
-    result = run_filter_on_trace(filt, mixed, exact=True)
+    result = run_filter_on_trace(filt, mixed)
     print(f"  bitmap filter drops {result.confusion.attack_filter_rate * 100:.2f}% "
           f"of the worm's scans")
     print(f"  legitimate traffic falsely dropped: "

@@ -161,12 +161,8 @@ class AggregateRateLimiter(PacketFilterMixin):
         self.packets_limited += 1
         return Decision.DROP
 
-    def process_batch(self, packets, exact: bool = True) -> "object":
-        """Batch wrapper mirroring the unified PacketFilter API.
-
-        ``exact`` is accepted for conformance; the scalar loop is always
-        exact.
-        """
+    def process_batch(self, packets) -> "object":
+        """Batch wrapper mirroring the unified PacketFilter API."""
         import numpy as np
 
         verdicts = np.ones(len(packets), dtype=bool)

@@ -7,10 +7,9 @@
   ``{saddr, sport, daddr}``; incoming checks ``{daddr, dport, saddr}``),
 - timestamp-driven rotation (``b.rotate`` every ``dt`` seconds),
 - optional adaptive packet dropping (Section 5.3),
-- two batch paths: an *exact* one that preserves per-packet ordering while
-  vectorizing the hashing, and a *windowed* one that additionally vectorizes
-  the bit operations by processing each rotation window mark-first (see
-  ``process_batch_windowed`` for the approximation argument),
+- a vectorized batch path that is order-exact: verdicts, stats and bits
+  equal those of :meth:`BitmapFilter.process` applied packet by packet
+  (see :meth:`BitmapFilter._filter_window`),
 - degraded-mode machinery for operational faults: a
   :class:`~repro.core.resilience.FailPolicy` applied while the filter is
   down (:meth:`BitmapFilter.fail` / :meth:`BitmapFilter.recover`), a
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -56,9 +55,6 @@ from repro.net.packet import (
     PacketArray,
 )
 from repro.telemetry.registry import MetricsRegistry, get_registry
-
-if TYPE_CHECKING:
-    pass
 
 __all__ = [
     "BitmapFilter",
@@ -242,7 +238,7 @@ class FilterStats:
 
 
 #: Admission-path labels used by the telemetry counters.
-_PATHS = ("scalar", "exact_batch", "windowed_batch")
+_PATHS = ("scalar", "exact_batch")
 
 
 class _FilterInstruments:
@@ -559,13 +555,7 @@ class BitmapFilter(PacketFilterMixin):
             self._tel.marks["scalar"].inc()
 
     def _test_incoming(self, pkt: Packet) -> bool:
-        """The scalar bitmap membership test for one incoming packet.
-
-        Split out as a hook: the shared-memory backend overrides it to
-        route the lookup through the packet's owner reader process (same
-        shared bits, different process) while every other piece of the
-        incoming path — warm-up grace, APD, stats — stays inherited.
-        """
+        """The scalar bitmap membership test for one incoming packet."""
         key = bitmap_key_incoming(pkt.proto, pkt.dst, pkt.dport, pkt.src)
         return self.bitmap.test_current(self.hashes.indices(key))
 
@@ -627,23 +617,21 @@ class BitmapFilter(PacketFilterMixin):
 
     # -- batch paths -----------------------------------------------------------
 
-    def process_batch(self, packets: PacketArray, exact: bool = True) -> np.ndarray:
+    def process_batch(self, packets: PacketArray) -> np.ndarray:
         """Filter a time-sorted batch; returns a boolean PASS mask.
 
-        ``exact=True`` preserves per-packet ordering semantics (identical to
-        calling :meth:`process` per packet) while vectorizing direction
-        classification and hashing.  ``exact=False`` delegates to
-        :meth:`process_batch_windowed`.
+        Verdicts, stats, bit state and telemetry are identical to calling
+        :meth:`process` on each packet in order; direction classification,
+        hashing and the bit operations are vectorized per rotation window
+        (see :meth:`_filter_window`).
 
-        APD is not supported on the batch paths (use :meth:`process`).
+        APD is not supported on the batch path (use :meth:`process`).
         """
         if self.apd is not None:
-            raise NotImplementedError("batch paths do not support adaptive dropping")
+            raise NotImplementedError("the batch path does not support adaptive dropping")
         if self._down:
             return self._process_batch_down(packets)
-        if exact:
-            return self._process_batch_exact(packets)
-        return self.process_batch_windowed(packets)
+        return self._process_batch_exact(packets)
 
     def _process_batch_down(self, packets: PacketArray) -> np.ndarray:
         """Vectorized down-state verdicts: ``fail_policy`` decides everything."""
@@ -687,30 +675,45 @@ class BitmapFilter(PacketFilterMixin):
         return self.hashes.indices_vec(packets.proto, local_addr, local_port, remote_addr)
 
     def _process_batch_exact(self, packets: PacketArray) -> np.ndarray:
+        """Vectorized batch filtering, identical to :meth:`process` per packet.
+
+        Rotation boundaries split the batch into windows; each window runs
+        :meth:`_filter_window`, and the rotations between windows run with
+        the same cadence (and per-window telemetry flushes) as the scalar
+        path.
+        """
         n = len(packets)
         verdict = np.ones(n, dtype=bool)
         if not n:
             return verdict
         directions = packets.directions(self.protected)
         index_matrix = self._directional_indices(packets, directions)
-        # Convert the hot columns to plain Python lists once; per-element
-        # list indexing is several times faster than NumPy scalar access.
-        ts_list = packets.ts.tolist()
-        dir_list = directions.tolist()
-        idx_lists = [row.tolist() for row in index_matrix.T]  # per-packet index tuples
+        ts = packets.ts
 
-        bitmap = self.bitmap
         stats = self.stats
-        interval = self.config.rotation_interval
+        out_mask = directions == DIRECTION_OUTGOING
+        in_mask = directions == DIRECTION_INCOMING
+        stats.internal += int((directions == DIRECTION_INTERNAL).sum())
+        stats.transit += int((directions == DIRECTION_TRANSIT).sum())
         # Stall/warm-up state cannot change mid-batch (only the fault harness
-        # toggles it, between batches), so hoist both out of the hot loop.
+        # toggles it, between batches); a stalled timer makes the whole
+        # batch one window.
         stalled = self._stalled
         warmup_until = self._warmup_until
+        interval = self.config.rotation_interval
+        bitmap = self.bitmap
         tel = self._tel
         before = tel.stats_snapshot(stats) if tel is not None else None
-        for i in range(n):
-            ts = ts_list[i]
-            while not stalled and self._next_rotation <= ts:
+
+        start = 0
+        while start < n:
+            boundary = float("inf") if stalled else self._next_rotation
+            end = int(np.searchsorted(ts[start:], boundary, side="left")) + start
+            if end > start:
+                self._filter_window(index_matrix, ts, out_mask, in_mask,
+                                    verdict, start, end, warmup_until)
+                start = end
+            if start < n:
                 if tel is None:
                     bitmap.rotate()
                 else:
@@ -723,96 +726,83 @@ class BitmapFilter(PacketFilterMixin):
                     tel.on_rotation(self._next_rotation, perf_counter() - begin)
                 self._next_rotation += interval
                 stats.rotations += 1
-            direction = dir_list[i]
-            if direction == DIRECTION_OUTGOING:
-                stats.outgoing += 1
-                bitmap.mark(idx_lists[i])
-            elif direction == DIRECTION_INCOMING:
-                stats.incoming += 1
-                if bitmap.test_current(idx_lists[i]):
-                    stats.incoming_passed += 1
-                elif ts < warmup_until:
-                    stats.warmup_admitted += 1
-                    stats.incoming_passed += 1
-                else:
-                    stats.incoming_dropped += 1
-                    verdict[i] = False
-            elif direction == DIRECTION_INTERNAL:
-                stats.internal += 1
-            else:
-                stats.transit += 1
         if tel is not None:
             tel.count_batch("exact_batch", stats, before)
         return verdict
 
-    def process_batch_windowed(self, packets: PacketArray) -> np.ndarray:
-        """Fully vectorized batch filtering, exact up to one approximation.
+    def _filter_window(self, index_matrix: np.ndarray, ts: np.ndarray,
+                       out_mask: np.ndarray, in_mask: np.ndarray,
+                       verdict: np.ndarray, start: int, end: int,
+                       warmup_until: float) -> None:
+        """One rotation window ``[start, end)`` of the order-exact algorithm.
 
-        Packets are grouped into rotation windows.  Within a window all
-        outgoing packets are marked *first*, then all incoming packets are
-        checked.  Genuine traffic always sends the request before the reply,
-        so every packet the exact path passes is also passed here; the only
-        divergence is an unsolicited incoming packet whose matching bits are
-        marked *later in the same window*, which this path admits up to
-        ``dt`` seconds early.  Tests bound the divergence.
+        1. Test every incoming packet against the pre-window bits (``hits0``).
+        2. Apply every outgoing mark of the window in one vectorized pass.
+        3. Re-test.  Only packets that missed before and hit after are
+           order-ambiguous: marks somewhere in this window completed their
+           bits, and the verdict depends on whether those marks came first.
+        4. Each ambiguous packet passes iff every bit it lacked before the
+           window was first marked at an earlier position — exactly what
+           the scalar loop observes, since a set bit stays set until the
+           next rotation.
         """
-        n = len(packets)
-        verdict = np.ones(n, dtype=bool)
-        if not n:
-            return verdict
-        directions = packets.directions(self.protected)
-        index_matrix = self._directional_indices(packets, directions)
-        ts = packets.ts
-
+        window = slice(start, end)
+        w_out = out_mask[window]
+        w_in = in_mask[window]
         stats = self.stats
-        outgoing_mask = directions == DIRECTION_OUTGOING
-        incoming_mask = directions == DIRECTION_INCOMING
-        stats.internal += int((directions == 3).sum())
-        stats.transit += int((directions == 2).sum())
-        tel = self._tel
-        before = tel.stats_snapshot(stats) if tel is not None else None
+        bitmap = self.bitmap
+        current = bitmap.current
+        n_out = int(w_out.sum())
+        have_in = bool(w_in.any())
 
-        start = 0
-        while start < n:
-            # A stalled rotation timer means the remainder is one window.
-            boundary = float("inf") if self._stalled else self._next_rotation
-            end = int(np.searchsorted(ts[start:], boundary, side="left")) + start
-            if end > start:
-                window = slice(start, end)
-                out_in_window = outgoing_mask[window]
-                in_in_window = incoming_mask[window]
-                if out_in_window.any():
-                    self.bitmap.mark_vec(index_matrix[:, window][:, out_in_window])
-                    stats.outgoing += int(out_in_window.sum())
-                if in_in_window.any():
-                    ok = self.bitmap.test_current_vec(index_matrix[:, window][:, in_in_window])
-                    if self._warmup_until > ts[start]:
-                        grace = ~ok & (ts[window][in_in_window] < self._warmup_until)
-                        if grace.any():
-                            ok = ok | grace
-                            stats.warmup_admitted += int(grace.sum())
-                    incoming_positions = np.nonzero(in_in_window)[0] + start
-                    verdict[incoming_positions[~ok]] = False
-                    stats.incoming += int(in_in_window.sum())
-                    stats.incoming_passed += int(ok.sum())
-                    stats.incoming_dropped += int((~ok).sum())
-                start = end
-            if start < n:
-                # Next packet is at/after the boundary: rotate and continue.
-                if tel is None:
-                    self.bitmap.rotate()
-                else:
-                    # Per-window flush before the tick (see exact path).
-                    tel.count_batch("windowed_batch", stats, before)
-                    before = tel.stats_snapshot(stats)
-                    begin = perf_counter()
-                    self.bitmap.rotate()
-                    tel.on_rotation(self._next_rotation, perf_counter() - begin)
-                self._next_rotation += self.config.rotation_interval
-                stats.rotations += 1
-        if tel is not None:
-            tel.count_batch("windowed_batch", stats, before)
-        return verdict
+        if have_in:
+            test_mat = index_matrix[:, window][:, w_in]          # (m, I)
+            hits0 = current.test_many_vec(
+                test_mat.reshape(-1)).reshape(test_mat.shape)
+            ok = hits0.all(axis=0)                               # (I,)
+        if n_out:
+            mark_mat = index_matrix[:, window][:, w_out]          # (m, P)
+            bitmap.mark_vec(mark_mat)
+            stats.outgoing += n_out
+        if not have_in:
+            return
+
+        in_pos = np.nonzero(w_in)[0]
+        stats.incoming += in_pos.size
+        if n_out:
+            ok1 = current.test_many_vec(
+                test_mat.reshape(-1)).reshape(test_mat.shape).all(axis=0)
+            ambiguous = ~ok & ok1
+            if ambiguous.any():
+                out_pos = np.nonzero(w_out)[0]
+                m = index_matrix.shape[0]
+                # First position that marked each bit this window.
+                flat_bits = mark_mat.reshape(-1)
+                flat_pos = np.tile(out_pos, m)
+                order = np.lexsort((flat_pos, flat_bits))
+                sorted_bits = flat_bits[order]
+                sorted_pos = flat_pos[order]
+                first = np.ones(len(sorted_bits), dtype=bool)
+                first[1:] = sorted_bits[1:] != sorted_bits[:-1]
+                unique_bits = sorted_bits[first]
+                first_pos = sorted_pos[first]
+                amb_bits = test_mat[:, ambiguous]                 # (m, A)
+                loc = np.searchsorted(unique_bits, amb_bits)
+                loc = np.minimum(loc, len(unique_bits) - 1)
+                # Pre-set bits need no mark; every other bit of an ambiguous
+                # packet is in unique_bits (the window's marks completed it).
+                marked_at = np.where(hits0[:, ambiguous], -1, first_pos[loc])
+                ok[ambiguous] = marked_at.max(axis=0) < in_pos[ambiguous]
+
+        if warmup_until > ts[start]:
+            grace = ~ok & (ts[window][w_in] < warmup_until)
+            if grace.any():
+                ok |= grace
+                stats.warmup_admitted += int(grace.sum())
+        verdict[in_pos[~ok] + start] = False
+        passed = int(ok.sum())
+        stats.incoming_passed += passed
+        stats.incoming_dropped += in_pos.size - passed
 
     # -- snapshot state -------------------------------------------------------
 
@@ -834,8 +824,7 @@ class BitmapFilter(PacketFilterMixin):
         (what :func:`repro.core.persistence.save_filter` persists); the rest
         restores the rotation bookkeeping and, optionally, the counters.
         The configuration must already match — this only moves state, so
-        restore paths (including sharded worker replicas, which receive
-        this call over the worker pipe) validate geometry up front.
+        the geometry is validated up front.
         """
         vectors = np.asarray(vectors, dtype=np.uint8)
         expected = (self.config.num_vectors, (1 << self.config.order) // 8)
@@ -863,10 +852,8 @@ class BitmapFilter(PacketFilterMixin):
 
         The memory-corruption fault surface (see
         :class:`~repro.faults.injectors.BitFlips`).  Deterministic in
-        ``seed``, so replicas fed the same call corrupt identically — the
-        sharded backend relies on this to keep worker bitmaps bit-for-bit
-        equal to the serial filter under fault injection.  Returns the
-        number of bits flipped.
+        ``seed``, so two filters fed the same call corrupt identically.
+        Returns the number of bits flipped.
         """
         if not 0 <= fraction <= 1:
             raise ValueError("flip fraction must be within [0, 1]")

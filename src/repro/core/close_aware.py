@@ -166,12 +166,8 @@ class CloseAwareBitmapFilter(PacketFilterMixin):
             return Decision.PASS
         return Decision.PASS
 
-    def process_batch(self, packets, exact: bool = True) -> np.ndarray:
-        """Batch wrapper (scalar loop; this is an ablation filter).
-
-        ``exact`` is accepted for PacketFilter conformance; the scalar loop
-        is always exact.
-        """
+    def process_batch(self, packets) -> np.ndarray:
+        """Batch wrapper (scalar loop; this is an ablation filter)."""
         verdicts = np.ones(len(packets), dtype=bool)
         for i, pkt in enumerate(packets):
             verdicts[i] = self.process(pkt) is Decision.PASS

@@ -8,8 +8,8 @@ client.  A bitmap admit whose exact flow key is absent from the table is a
 false admit by construction and is denied, driving the false-admit rate on
 the verified subset to ~0.
 
-Semantics (chosen so the differential suite's serial-vs-parallel equivalence
-holds verbatim):
+Semantics (chosen so the batch path equals the scalar path verbatim, which
+the differential suite checks):
 
 - **Outgoing, filter up, in scope** → the flow key is inserted/refreshed in
   the table, *regardless* of APD mark suppression — the table tracks truth,
@@ -23,13 +23,12 @@ holds verbatim):
   come from its fail policy untouched, and nothing is inserted (the table
   must not learn from traffic the bitmap never saw).
 
-The wrapper composes over *any* inner filter — serial
-:class:`~repro.core.bitmap_filter.BitmapFilter`, sharded or shared-memory
-parallel — and delegates the whole degraded-mode/snapshot control surface,
-which is how the differential and fault suites sweep it with zero copied
-tests.  Verification itself is deterministic and identical across scalar,
-exact-batch and windowed-batch paths: batch lookups replay packet order, and
-lookups never mutate the table.
+The wrapper composes over a
+:class:`~repro.core.bitmap_filter.BitmapFilter` and delegates the whole
+degraded-mode/snapshot control surface, which is how the differential and
+fault suites sweep it with zero copied tests.  Verification itself is
+deterministic and identical on the scalar and batch paths: batch lookups
+replay packet order, and lookups never mutate the table.
 
 Telemetry: ``repro_hybrid_confirmed_total`` / ``repro_hybrid_denied_total`` /
 ``repro_hybrid_inserts_total`` / ``repro_hybrid_resizes_total`` counters plus
@@ -176,7 +175,7 @@ class HybridVerifiedFilter(PacketFilterMixin):
 
     @property
     def inner(self):
-        """The wrapped pre-filter (serial or parallel bitmap filter)."""
+        """The wrapped bitmap pre-filter."""
         return self._inner
 
     @property
@@ -272,12 +271,12 @@ class HybridVerifiedFilter(PacketFilterMixin):
 
     # -- batch path ------------------------------------------------------------
 
-    def process_batch(self, packets: PacketArray, exact: bool = True) -> np.ndarray:
+    def process_batch(self, packets: PacketArray) -> np.ndarray:
         inner = self._inner
         if inner.is_down:
-            return inner.process_batch(packets, exact=exact)
+            return inner.process_batch(packets)
         warmup_until = inner.warmup_until
-        mask = inner.process_batch(packets, exact=exact)
+        mask = inner.process_batch(packets)
         n = len(packets)
         if n == 0:
             return mask
@@ -292,10 +291,7 @@ class HybridVerifiedFilter(PacketFilterMixin):
         ts = packets.ts
         insert_mask = outgoing & scope
         check_mask = incoming & mask & scope & (ts >= warmup_until)
-        if exact:
-            self._verify_exact(lo, hi, ts, insert_mask, check_mask, mask)
-        else:
-            self._verify_windowed(lo, hi, ts, insert_mask, check_mask, mask)
+        self._verify_exact(lo, hi, ts, insert_mask, check_mask, mask)
         if self._tel is not None:
             self._flush_telemetry()
         return mask
@@ -415,65 +411,14 @@ class HybridVerifiedFilter(PacketFilterMixin):
                 self._note_lookups(1, 1, ts_s[j])
                 mask[idx_l[j]] = False
 
-    def _verify_windowed(self, lo, hi, ts, insert_mask, check_mask, mask) -> None:
-        """Marks-first per rotation window, mirroring the inner windowed
-        batch: within each window every insert lands before any lookup, so a
-        lookup sees at least the inserts the exact interleave gave it and the
-        windowed PASS mask stays a superset of the exact one.  Inserts pass
-        the window start as the garbage-collection clock so a late-stamped
-        insert can never purge (or reuse the slot of) an entry that a lookup
-        in the same or a later window still considers live — without that,
-        batch-order inserts spanning more than ``lifetime`` seconds would
-        evict entries out from under earlier-timestamped lookups."""
-        act = np.nonzero(insert_mask | check_mask)[0]
-        if len(act) == 0:
-            return
-        dt = self._inner.config.rotation_interval
-        wid = np.floor_divide(ts[act], dt).astype(np.int64)
-        # Window-major, batch order within each window (stable sort), so
-        # one pass over the active ops replaces a full-length mask scan
-        # per rotation window.
-        order = np.argsort(wid, kind="stable")
-        s_act = act[order]
-        s_wid = wid[order]
-        s_ins = insert_mask[s_act]
-        bounds = np.nonzero(np.diff(s_wid))[0] + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(s_act)]])
-        table = self.table
-        checked = 0
-        denied = 0
-        last_ts = 0.0
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            seg_ins = s_ins[start:end]
-            ins = s_act[start:end][seg_ins]
-            if len(ins):
-                table.insert_batch(lo[ins], hi[ins], ts[ins],
-                                   gc_now=float(s_wid[start]) * dt)
-            chk = s_act[start:end][~seg_ins]
-            if len(chk) == 0:
-                continue
-            ok = table.contains_batch(lo[chk], hi[chk], ts[chk])
-            misses = chk[~ok]
-            checked += len(chk)
-            denied += len(misses)
-            if len(misses):
-                mask[misses] = False
-            last_ts = float(ts[chk[-1]])
-        self.confirmed += checked - denied
-        self.denied += denied
-        if checked:
-            self._note_lookups(checked, denied, last_ts)
-
     # -- stats -----------------------------------------------------------------
 
     @property
     def stats(self):
         """Inner stats with denials moved from passed to dropped.
 
-        Always an adjusted copy: parallel inner filters reconstruct their
-        stats from worker merges on every access, so in-place mutation would
-        be silently lost — the copy keeps serial and parallel symmetric.
+        Always an adjusted copy, so the inner filter's own counters keep
+        meaning what the bitmap decided.
         """
         base = self._inner.stats
         if not self.denied:

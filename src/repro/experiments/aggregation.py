@@ -108,7 +108,7 @@ def run_aggregation(scale: ExperimentScale = SMALL) -> AggregationResult:
     outcomes: List[DeploymentOutcome] = []
 
     def evaluate(label: str, deployment: FilterDeployment) -> None:
-        verdicts = deployment.process_batch(packets, exact=True)
+        verdicts = deployment.process_batch(packets)
         confusion, _series = score_run(packets, verdicts, incoming,
                                        combined.duration)
         outcomes.append(DeploymentOutcome(

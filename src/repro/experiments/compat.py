@@ -113,7 +113,7 @@ def _run_scenario(
         for p in (ftp_packets[i] for i in data_indices)
     }
     filt = build_filter(scale.bitmap_config(), trace.protected)
-    verdicts = filt.process_batch(mixed.packets, exact=True)
+    verdicts = filt.process_batch(mixed.packets)
 
     packets = mixed.packets
     is_data_syn = np.zeros(len(packets), dtype=bool)

@@ -59,7 +59,7 @@ def run_fig4(
         trace = generate_trace(scale)
 
     bitmap = build_filter(scale.bitmap_config(), trace.protected)
-    bitmap_run = run_filter_on_trace(bitmap, trace, exact=True)
+    bitmap_run = run_filter_on_trace(bitmap, trace)
 
     spi = HashListFilter(trace.protected, idle_timeout=scale.spi_idle_timeout)
     spi_run = run_filter_on_trace(spi, trace)

@@ -71,7 +71,6 @@ def build_attack_trace(scale: ExperimentScale, trace: Trace) -> Trace:
 def run_fig5(
     scale: ExperimentScale = MEDIUM,
     trace: Optional[Trace] = None,
-    exact: bool = True,
 ) -> Fig5Result:
     if trace is None:
         trace = generate_trace(scale)
@@ -85,9 +84,9 @@ def run_fig5(
     split = int(np.searchsorted(packets.ts, midpoint))
     first = packets[:split]
     second = packets[split:]
-    verdict_first = filt.process_batch(first, exact=exact)
+    verdict_first = filt.process_batch(first)
     utilization = filt.utilization()
-    verdict_second = filt.process_batch(second, exact=exact)
+    verdict_second = filt.process_batch(second)
     verdicts = np.concatenate([verdict_first, verdict_second])
 
     from repro.sim.metrics import score_run

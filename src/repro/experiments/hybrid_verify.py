@@ -96,11 +96,11 @@ def _scenario(label: str, order: int, scale: ExperimentScale,
               mixed: Trace) -> HybridScenario:
     config = scale.bitmap_config(order=order)
     bitmap = build_filter(config, mixed.protected)
-    bitmap_run = run_filter_on_trace(bitmap, mixed, exact=False)
+    bitmap_run = run_filter_on_trace(bitmap, mixed)
 
     spec = VerifySpec(initial_order=10, resize_fpr=0.01)
     hybrid = build_filter(config, mixed.protected, layers=(spec,))
-    hybrid_run = run_filter_on_trace(hybrid, mixed, exact=False)
+    hybrid_run = run_filter_on_trace(hybrid, mixed)
 
     return HybridScenario(
         label=label,

@@ -111,8 +111,7 @@ def _outcome(
     )
 
 
-def run_resilience(scale: ExperimentScale = SMALL,
-                   exact: bool = True) -> ResilienceResult:
+def run_resilience(scale: ExperimentScale = SMALL) -> ResilienceResult:
     """Run every fault scenario against the attacked headline trace."""
     clean = generate_trace(scale)
     attacked = build_attack_trace(scale, clean)
@@ -125,7 +124,7 @@ def run_resilience(scale: ExperimentScale = SMALL,
 
     def run(injectors: Sequence[FaultInjector],
             policy: FailPolicy = FailPolicy.FAIL_CLOSED) -> FaultedRunResult:
-        return run_with_faults(fresh(policy), attacked, injectors, exact=exact)
+        return run_with_faults(fresh(policy), attacked, injectors)
 
     # Fault-free baseline.
     base = run([])

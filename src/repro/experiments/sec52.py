@@ -69,7 +69,7 @@ def _utilization_under(
     filt = build_filter(config, trace.protected)
     packets = trace.packets
     cut = int(np.searchsorted(packets.ts, sample_time))
-    filt.process_batch(packets[:cut], exact=False)
+    filt.process_batch(packets[:cut])
     return filt.utilization()
 
 

@@ -77,7 +77,7 @@ def _evaluate(scale: ExperimentScale, trace: Trace, attack, scenario: str,
     incoming = packets.directions(trace.protected) == 1
 
     bitmap = build_filter(scale.bitmap_config(), trace.protected)
-    bitmap_verdicts = bitmap.process_batch(packets, exact=True)
+    bitmap_verdicts = bitmap.process_batch(packets)
     confusion, _ = score_run(packets, bitmap_verdicts, incoming, mixed.duration)
     outcomes.append(ScenarioOutcome(
         scenario=scenario, defense="bitmap filter",

@@ -78,7 +78,7 @@ def _measure(
         seed=scale.seed,
     )
     filt = build_filter(config, trace.protected)
-    run = run_filter_on_trace(filt, trace, exact=True)
+    run = run_filter_on_trace(filt, trace)
     return TimingPoint(
         num_vectors=num_vectors,
         rotation_interval=rotation_interval,

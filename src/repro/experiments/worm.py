@@ -77,7 +77,7 @@ def run_worm(
     )
 
     filt = build_filter(scale.bitmap_config(), trace.protected)
-    run = run_filter_on_trace(filt, mixed, exact=True)
+    run = run_filter_on_trace(filt, mixed)
 
     return WormResult(
         params=params,

@@ -67,7 +67,6 @@ def run_with_faults(
     filt: BitmapFilter,
     trace: Trace,
     injectors: Sequence[FaultInjector],
-    exact: bool = True,
 ) -> FaultedRunResult:
     """Run ``filt`` over ``trace`` while the injectors' fault schedule fires.
 
@@ -109,7 +108,7 @@ def run_with_faults(
             boundary = int(np.searchsorted(ts, event.ts, side="left"))
             if boundary > cursor:
                 verdict_parts.append(
-                    filt.process_batch(packets[cursor:boundary], exact=exact))
+                    filt.process_batch(packets[cursor:boundary]))
                 cursor = boundary
             replacement = event.apply(filt, event.ts)
             if replacement is not None and replacement is not filt:
@@ -119,8 +118,7 @@ def run_with_faults(
             if tel is not None:
                 _injection_counter(registry, injector_name).inc()
         if cursor < len(packets):
-            verdict_parts.append(filt.process_batch(packets[cursor:],
-                                                    exact=exact))
+            verdict_parts.append(filt.process_batch(packets[cursor:]))
     wall = time.perf_counter() - start_wall
 
     if verdict_parts:

@@ -1,8 +1,8 @@
 """The fleet front end: consistent-hash routing with health-checked failover.
 
 :class:`FleetRouter` makes N filter daemons look like one filter.  Each
-packet's ``local_addr`` (the protected-side address — the key the
-sharded backend partitions by) is consistent-hashed onto a daemon node,
+packet's ``local_addr`` (the protected-side address) is
+consistent-hashed onto a daemon node,
 so every flow's bitmap state lives on exactly one node.  A batch is
 split by owner, each owned segment streams to its node over a retrying
 :class:`~repro.serve.client.FilterClient` (all nodes driven
@@ -423,8 +423,8 @@ class FleetRouter:
     def fleet_config(self) -> dict:
         """The fleet's common daemon config; raises on geometry skew.
 
-        Every node must agree on filter geometry, protected networks,
-        clock mode, and exactness — otherwise verdicts depend on which
+        Every node must agree on filter geometry, protected networks and
+        clock mode — otherwise verdicts depend on which
         node a flow hashes to, which is a deployment error worth failing
         loudly on.
         """
@@ -433,7 +433,7 @@ class FleetRouter:
         for name in self._ring.nodes:
             info = self.node_config(name)
             comparable = {key: info[key] for key in
-                          ("filter", "protected", "clock", "exact")}
+                          ("filter", "protected", "clock")}
             if reference is None:
                 reference, reference_node = comparable, name
             elif comparable != reference:

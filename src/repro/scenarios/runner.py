@@ -316,15 +316,15 @@ def _merge_counts(counts: List[ConfusionCounts]) -> ConfusionCounts:
     )
 
 
-def _run_roamer(run: RoamerRun, spec: ScenarioSpec, store: SnapshotStore,
-                exact: bool) -> RoamOutcome:
+def _run_roamer(run: RoamerRun, spec: ScenarioSpec,
+                store: SnapshotStore) -> RoamOutcome:
     """Head at home, snapshot through the store, restored tail at visit."""
     config = spec.filter.filter_config()
     packets = run.trace.packets
     split = run.split_index
     home_filter = build_filter(config=config, protected=run.space)
     head = Trace(packets[:split], run.space, {"duration": spec.duration})
-    head_result = run_filter_on_trace(home_filter, head, exact=exact)
+    head_result = run_filter_on_trace(home_filter, head)
 
     buffer = io.BytesIO()
     save_filter(home_filter, buffer)
@@ -332,7 +332,7 @@ def _run_roamer(run: RoamerRun, spec: ScenarioSpec, store: SnapshotStore,
 
     visit_filter = build_filter(snapshot=ref.path)
     tail = Trace(packets[split:], run.space, {"duration": spec.duration})
-    tail_result = run_filter_on_trace(visit_filter, tail, exact=exact)
+    tail_result = run_filter_on_trace(visit_filter, tail)
 
     verdicts = np.concatenate([head_result.verdicts, tail_result.verdicts])
     incoming = np.concatenate(
@@ -348,7 +348,6 @@ def _run_roamer(run: RoamerRun, spec: ScenarioSpec, store: SnapshotStore,
 
 
 def run_offline(run: ScenarioRun, *, store: Optional[SnapshotStore] = None,
-                exact: bool = True,
                 workdir: Optional[Path] = None) -> ScenarioOutcome:
     """Run every site (and roamer handoff) through offline filter stacks.
 
@@ -369,7 +368,7 @@ def run_offline(run: ScenarioRun, *, store: Optional[SnapshotStore] = None,
     for site_run in run.sites:
         filt = build_filter(config=spec.filter.filter_config(),
                             protected=site_run.binding.space)
-        result = run_filter_on_trace(filt, site_run.trace, exact=exact)
+        result = run_filter_on_trace(filt, site_run.trace)
         c_obs = observed_connections(site_run.trace,
                                      spec.filter.expiry_timer)
         advised = advisor.recommend(max(c_obs, 1)) if c_obs else None
@@ -386,7 +385,7 @@ def run_offline(run: ScenarioRun, *, store: Optional[SnapshotStore] = None,
             verdicts=result.verdicts,
             incoming_mask=result.incoming_mask))
 
-    roamers = [_run_roamer(roamer_run, spec, store, exact)
+    roamers = [_run_roamer(roamer_run, spec, store)
                for roamer_run in run.roamers]
     aggregate = _merge_counts([s.confusion for s in sites]
                               + [r.confusion for r in roamers])

@@ -96,7 +96,7 @@ class FilterDeployment:
             if net not in covered
         ]
 
-    def process_batch(self, packets: PacketArray, exact: bool = True) -> np.ndarray:
+    def process_batch(self, packets: PacketArray) -> np.ndarray:
         """Run a time-sorted batch through every placed filter.
 
         Each filter only sees (and votes on) traffic of its own networks; a
@@ -110,7 +110,7 @@ class FilterDeployment:
             if not relevant.any():
                 continue
             sub = packets[relevant]
-            sub_verdict = placed.filter.process_batch(sub, exact=exact)
+            sub_verdict = placed.filter.process_batch(sub)
             indices = np.nonzero(relevant)[0]
             verdict[indices[~sub_verdict]] = False
         return verdict

@@ -230,14 +230,11 @@ class StatefulFilter(PacketFilterMixin, abc.ABC):
 
     # -- batch path ------------------------------------------------------------
 
-    def process_batch(self, packets: "PacketArray",
-                      exact: bool = True) -> "np.ndarray":
+    def process_batch(self, packets: "PacketArray") -> "np.ndarray":
         """Filter a time-sorted batch; returns a boolean PASS mask.
 
         Semantically identical to calling :meth:`process` per packet, but
         works on plain columns to avoid per-packet object construction.
-        SPI filters have no approximate path, so ``exact`` is accepted for
-        :class:`~repro.core.filter_api.PacketFilter` conformance and ignored.
         """
         import numpy as np  # local import keeps base importable without numpy
 

@@ -1,24 +1,17 @@
-"""Serialize and merge registries across process boundaries.
+"""Merge registries across process boundaries: the fleet scrape path.
 
-The sharded execution backend (:mod:`repro.parallel`) runs one
-:class:`~repro.telemetry.registry.MetricsRegistry` per worker process.
-Workers cannot tick the parent's samplers, so instead each batch response
-carries a *cumulative dump* of the worker registry (:func:`dump_metrics`,
-plain tuples — picklable, no registry objects cross the pipe) and the
-parent folds the delta since the previous dump into its own registry under
-an extra ``shard`` label (:func:`apply_dump`).
+:func:`rows_from_prometheus` reconstructs dump rows from a scraped
+``/metrics`` text page (the inverse of
+:func:`~repro.telemetry.exporters.to_prometheus`), :func:`apply_dump` folds
+rows into a registry (as a delta since a previous dump, optionally under
+extra labels), and :func:`aggregate_fleet` folds every node's page into one
+registry — each instrument twice, once summed fleet-wide and once under a
+``node`` label for the per-node breakdown (``repro fleet-stats``).
 
 Counters merge by increment, gauges by last-write, histograms by per-bucket
 delta (see :meth:`~repro.telemetry.registry.Histogram.merge_counts`), so a
-parent registry scraped mid-run is always consistent: cumulative counts,
-current gauge values, additive distributions.
-
-The same machinery aggregates a *fleet*: :func:`rows_from_prometheus`
-reconstructs dump rows from a scraped ``/metrics`` text page (the inverse
-of :func:`~repro.telemetry.exporters.to_prometheus`), and
-:func:`aggregate_fleet` folds every node's page into one registry — each
-instrument twice, once summed fleet-wide and once under a ``node`` label
-for the per-node breakdown (``repro fleet-stats``).
+merged registry is always consistent: cumulative counts, current gauge
+values, additive distributions.
 """
 
 from __future__ import annotations
@@ -26,35 +19,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.registry import MetricsRegistry
 
 #: One dumped instrument: (kind, name, labels, help, payload...).
 MetricRow = tuple
 
 #: Dump index key: (kind, name, labels).
 RowKey = Tuple[str, str, tuple]
-
-
-def dump_metrics(registry: MetricsRegistry) -> List[MetricRow]:
-    """Flatten every instrument into picklable tuples (cumulative values)."""
-    rows: List[MetricRow] = []
-    for metric in registry.metrics():
-        if isinstance(metric, Histogram):
-            rows.append(("histogram", metric.name, metric.labels, metric.help,
-                         tuple(metric.bounds), tuple(metric.bucket_counts),
-                         metric.sum, metric.count))
-        elif isinstance(metric, Counter):
-            rows.append(("counter", metric.name, metric.labels, metric.help,
-                         metric.value))
-        elif isinstance(metric, Gauge):
-            rows.append(("gauge", metric.name, metric.labels, metric.help,
-                         metric.value))
-    return rows
 
 
 def _index(rows: Optional[List[MetricRow]]) -> Dict[RowKey, MetricRow]:
@@ -71,8 +42,8 @@ def apply_dump(
 ) -> None:
     """Fold a cumulative dump into ``registry`` as a delta since ``previous``.
 
-    ``extra_labels`` (e.g. ``shard="2"``) are added to every instrument so
-    dumps from different workers land on distinct series.  Passing the same
+    ``extra_labels`` (e.g. ``node="node2"``) are added to every instrument
+    so dumps from different processes land on distinct series.  Passing the same
     dump twice with the correct ``previous`` is a no-op — the merge is
     idempotent over cumulative snapshots.
     """

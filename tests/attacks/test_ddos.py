@@ -67,5 +67,5 @@ class TestBitmapDefends:
         victim = protected.networks[0].host(20)
         flood = syn_flood(victim, 80, rate_pps=500.0, start=0.0, duration=4.0)
         filt = BitmapFilter(small_config, protected)
-        verdicts = filt.process_batch(flood, exact=True)
+        verdicts = filt.process_batch(flood)
         assert not verdicts.any()

@@ -46,7 +46,7 @@ class TestPollutionEffect:
         attack = InsiderAttack(attacker, rate_pps=rate, start=0.0, duration=60.0)
         pkts = attack.generate(protected)
         filt = BitmapFilter(small_config, protected)
-        filt.process_batch(pkts, exact=True)
+        filt.process_batch(pkts)
         measured = filt.utilization()
         predicted = insider_utilization_increase(
             rate, small_config.num_hashes, small_config.order,
@@ -65,11 +65,11 @@ class TestPollutionEffect:
         ).generate()
 
         clean = BitmapFilter(small_config, protected)
-        clean_pass = int(clean.process_batch(probes, exact=True).sum())
+        clean_pass = int(clean.process_batch(probes).sum())
 
         polluted = BitmapFilter(small_config, protected)
         pollution = InsiderAttack(attacker, rate_pps=300.0, start=0.0,
                                   duration=60.0).generate(protected)
-        polluted.process_batch(pollution, exact=True)
-        polluted_pass = int(polluted.process_batch(probes, exact=True).sum())
+        polluted.process_batch(pollution)
+        polluted_pass = int(polluted.process_batch(probes).sum())
         assert polluted_pass > clean_pass

@@ -142,27 +142,18 @@ class TestBatchPaths:
         scalar = BitmapFilter(small_config, protected)
         expected = [scalar.process(pkt) is Decision.PASS for pkt in batch]
         batched = BitmapFilter(small_config, protected)
-        verdicts = batched.process_batch(batch, exact=True)
+        verdicts = batched.process_batch(batch)
         assert verdicts.tolist() == expected
         assert batched.stats.as_dict() == scalar.stats.as_dict()
 
-    def test_windowed_never_stricter_than_exact(
-        self, small_config, protected, client_addr, server_addr
-    ):
+    def test_batch_on_simple_scenario(self, small_config, protected, client_addr, server_addr):
         batch = self._scenario(client_addr, server_addr)
-        exact = BitmapFilter(small_config, protected).process_batch(batch, exact=True)
-        windowed = BitmapFilter(small_config, protected).process_batch(batch, exact=False)
-        assert bool(np.all(windowed >= exact))
-
-    def test_windowed_on_simple_scenario(self, small_config, protected, client_addr, server_addr):
-        batch = self._scenario(client_addr, server_addr)
-        verdicts = BitmapFilter(small_config, protected).process_batch(batch, exact=False)
+        verdicts = BitmapFilter(small_config, protected).process_batch(batch)
         assert verdicts.tolist() == [True, True, False, True, False]
 
     def test_empty_batch(self, small_config, protected):
         filt = BitmapFilter(small_config, protected)
         assert len(filt.process_batch(PacketArray.empty())) == 0
-        assert len(filt.process_batch(PacketArray.empty(), exact=False)) == 0
 
     def test_batch_rejects_apd(self, small_config, protected):
         from repro.core.apd import AdaptiveDroppingPolicy, PacketRatioIndicator
@@ -177,7 +168,7 @@ class TestBatchPaths:
     def test_batch_counts_directions(self, small_config, protected, client_addr, server_addr):
         batch = self._scenario(client_addr, server_addr)
         filt = BitmapFilter(small_config, protected)
-        filt.process_batch(batch, exact=True)
+        filt.process_batch(batch)
         assert filt.stats.outgoing == 2
         assert filt.stats.incoming == 3
         assert filt.stats.incoming_dropped == 2

@@ -146,7 +146,7 @@ class TestPrecisionComparison:
         trace = ClientNetworkWorkload(config).generate()
 
         plain = BitmapFilter(CFG, trace.protected)
-        plain_verdicts = plain.process_batch(trace.packets, exact=True)
+        plain_verdicts = plain.process_batch(trace.packets)
 
         aware = CloseAwareBitmapFilter(CFG, trace.protected)
         aware_verdicts = aware.process_batch(trace.packets)

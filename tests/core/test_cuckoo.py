@@ -12,8 +12,6 @@ import pytest
 
 from repro.core.cuckoo import CuckooFlowTable, pack_flow, pack_flows_vec
 
-pytestmark = pytest.mark.core
-
 
 def key(i: int):
     """A distinct directional flow key per index."""

@@ -75,15 +75,16 @@ class TestProtocolConformance:
             mask = filt.admit_in_batch(in_batch)
             assert mask.tolist() == [True] * 4, type(filt).__name__
 
-    def test_process_batch_accepts_exact_keyword(self, small_config,
-                                                 protected, client_addr,
-                                                 server_addr):
-        pkt = make_request(1.0, client_addr, server_addr)
-        batch = PacketArray.from_packets([pkt])
-        for filt in all_filters(small_config, protected):
-            for exact in (True, False):
-                mask = filt.process_batch(batch, exact=exact)
-                assert len(mask) == 1
+    def test_process_batch_takes_only_packets(self, small_config, protected):
+        """One batch path per filter: no mode or backend keywords."""
+        import inspect
+
+        from repro.core.hybrid import HybridVerifiedFilter
+
+        hybrid = HybridVerifiedFilter(BitmapFilter(small_config, protected))
+        for filt in all_filters(small_config, protected) + [hybrid]:
+            params = inspect.signature(filt.process_batch).parameters
+            assert list(params) == ["packets"], type(filt).__name__
 
     def test_mixin_derives_from_process(self):
         calls = []
@@ -93,7 +94,7 @@ class TestProtocolConformance:
                 calls.append(pkt)
                 return Decision.PASS
 
-            def process_batch(self, packets, exact=True):
+            def process_batch(self, packets):
                 import numpy as np
                 return np.ones(len(packets), dtype=bool)
 

@@ -10,7 +10,6 @@ table intact.
 import io
 
 import numpy as np
-import pytest
 
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
 from repro.core.cuckoo import pack_flow
@@ -21,7 +20,6 @@ from repro.net.packet import PacketArray
 from repro.telemetry import MetricsRegistry, use_registry
 from tests.conftest import make_reply, make_request
 
-pytestmark = pytest.mark.core
 
 CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
                             rotation_interval=5.0)
@@ -139,17 +137,11 @@ class TestBatchPaths:
         exact = make_hybrid(protected)
         want = np.array([scalar.process(p) is Decision.PASS
                          for p in batch.to_packets()])
-        got = exact.process_batch(batch, exact=True)
+        got = exact.process_batch(batch)
         assert np.array_equal(got, want)
         assert exact.table.state_digest() == scalar.table.state_digest()
         assert (exact.confirmed, exact.denied) == (scalar.confirmed,
                                                    scalar.denied)
-
-    def test_windowed_is_superset_of_exact(self, protected, server_addr):
-        batch = self._mixed_packets(protected, server_addr)
-        exact = make_hybrid(protected).process_batch(batch, exact=True)
-        windowed = make_hybrid(protected).process_batch(batch, exact=False)
-        assert not (exact & ~windowed).any()
 
     def test_stats_move_denials_to_dropped(self, protected, client_addr,
                                            server_addr):

@@ -240,14 +240,14 @@ class TestMidRunEquivalence:
         half = len(packets) // 2
 
         unbroken = BitmapFilter(small_config, tiny_trace.protected)
-        expected = unbroken.process_batch(packets, exact=True)
+        expected = unbroken.process_batch(packets)
 
         first = BitmapFilter(small_config, tiny_trace.protected)
-        v1 = first.process_batch(packets[:half], exact=True)
+        v1 = first.process_batch(packets[:half])
         path = tmp_path / "mid.npz"
         save_filter(first, path)
         second = load_filter(path)
-        v2 = second.process_batch(packets[half:], exact=True)
+        v2 = second.process_batch(packets[half:])
 
         assert bool(np.array_equal(np.concatenate([v1, v2]), expected))
         assert second.stats.as_dict() == unbroken.stats.as_dict()

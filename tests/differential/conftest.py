@@ -1,89 +1,52 @@
-"""Shared fixtures for the serial-vs-parallel differential suite.
+"""Shared fixtures for the batch-vs-scalar differential suite.
 
-Every test here replays identical input through a serial
-:class:`~repro.core.bitmap_filter.BitmapFilter` and a parallel filter —
-the replicated :class:`~repro.parallel.ShardedBitmapFilter` and the
-shared-memory :class:`~repro.parallel.SharedBitmapFilter` — and asserts
-*bit-for-bit* agreement: verdicts, merged stats, rotation schedule, and
-raw bitmap bytes.  Any test that takes a ``backend`` argument is
-automatically parametrized over every parallel backend, so the whole
-suite states the equivalence contract once and proves it N times.
+The reference model is the scalar per-packet path, ``process()``: the
+paper's Algorithm 2 written out.  Every test here replays identical input
+through a filter driven by the vectorised ``process_batch`` and through a
+reference driven one packet at a time by ``process()``, and asserts
+*bit-for-bit* agreement: verdicts, ``FilterStats``, rotation schedule, raw
+bitmap bytes and the snapshot archive's digest.  Any test that takes a
+``stack`` argument is parametrized over both filter stacks, each fed two
+deployments' worth of input:
 
-The ``verified-*`` backends re-run the same contract with the hybrid
-bitmap→cuckoo verification tier stacked on top of each side: the serial
-reference becomes a :class:`~repro.core.hybrid.HybridVerifiedFilter`
-over a serial bitmap filter, the parallel subject a hybrid over the
-parallel backend.  Verdicts, bitmap bytes, *and* cuckoo table digests
-must all agree, which proves the verification layer composes with the
-execution backends without changing semantics.
+- a plain name — a bare :class:`~repro.core.bitmap_filter.BitmapFilter`;
+- a ``verified-`` prefix — the hybrid bitmap→cuckoo tier
+  (:class:`~repro.core.hybrid.HybridVerifiedFilter`) over one, where the
+  cuckoo table digests and confirm/deny counts must agree too;
+- ``shared`` — one filter judges all the traffic of every protected
+  network (the single edge router of the paper);
+- ``sharded`` — the filter judges only the slice of the traffic that the
+  fleet's consistent-hash ring (:mod:`repro.fleet.ring`) routes to one of
+  two nodes: the sparser input each fleet node's batch path sees.
 
-The fixtures provide one session-scoped benign+flood trace and the
-state-comparison helper the whole suite leans on.
+The fixtures provide one session-scoped benign+flood trace (sliced per
+deployment), the scalar references, and the state-comparison helper the
+whole suite leans on.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.attacks.ddos import syn_flood
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
 from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
-from repro.parallel import (
-    SharedBitmapFilter,
-    ShardedBitmapFilter,
-    shard_filter,
-    share_filter,
-)
+from repro.fleet.ring import HashRing
+from repro.net.packet import DIRECTION_INCOMING, PacketArray
+from repro.serve.state import snapshot_to_bytes
 from repro.traffic.generator import ClientNetworkWorkload, WorkloadConfig
 from repro.traffic.trace import Trace
 
-#: Worker counts every parametrized equivalence test sweeps.
-WORKER_COUNTS = (1, 2, 4)
+#: The stack × deployment cases every stack-parametrized test sweeps.
+STACKS = ("shared", "sharded", "verified-shared", "verified-sharded")
 
-#: Every parallel backend the differential contract covers.  The
-#: ``verified-*`` names stack the hybrid verification tier over the base
-#: backend on *both* sides of every comparison.
-PARALLEL_BACKENDS = ("sharded", "shared", "verified-sharded",
-                     "verified-shared")
+#: The fleet a ``sharded`` case slices its input for, and the node it plays.
+FLEET_NODES = ("node-0", "node-1")
+SHARD_NODE = 0
 
 #: Small table so the trace exercises growth under the sweep.
 VERIFY_SPEC = VerifySpec(initial_order=4)
-
-
-def base_backend(backend: str) -> str:
-    """The execution-backend half of a sweep name (``verified-shared`` →
-    ``shared``); plain names pass through."""
-    return backend.rsplit("-", 1)[-1]
-
-
-def is_verified(backend: str) -> bool:
-    return backend.startswith("verified-")
-
-
-def _verified_wrapper(wrap):
-    """Lift a pristine-donor wrapper (shard/share) to hybrid donors: the
-    bitmap tier underneath gets parallelized, the wrapper and its cuckoo
-    table carry over.  Keeps the base wrappers' idempotence contract."""
-    def wrapper(donor, num_workers):
-        if isinstance(donor, HybridVerifiedFilter):
-            inner = wrap(donor.inner, num_workers)
-            if inner is donor.inner:
-                return donor
-            # The base wrappers leave the donor usable, so the lifted
-            # wrapper must too: the new stack gets its own table copy.
-            return HybridVerifiedFilter(inner, donor.spec,
-                                        table=donor.table.copy())
-        return wrap(donor, num_workers)
-    return wrapper
-
-
-#: Backend name -> filter class / pristine-donor wrapper.
-PARALLEL_FILTERS = {"sharded": ShardedBitmapFilter,
-                    "shared": SharedBitmapFilter,
-                    "verified-sharded": HybridVerifiedFilter,
-                    "verified-shared": HybridVerifiedFilter}
-PARALLEL_WRAPPERS = {"sharded": shard_filter, "shared": share_filter,
-                     "verified-sharded": _verified_wrapper(shard_filter),
-                     "verified-shared": _verified_wrapper(share_filter)}
 
 #: Small geometry with a fast rotation clock: a 25 s trace crosses ~12
 #: rotation boundaries and several full expiry windows.
@@ -92,15 +55,37 @@ CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
 
 
 def pytest_generate_tests(metafunc):
-    """Sweep every test that names a ``backend`` argument across all
-    parallel backends (plain parametrize, so Hypothesis tests get it
-    too without function-scoped-fixture health checks)."""
-    if "backend" in metafunc.fixturenames:
-        metafunc.parametrize("backend", PARALLEL_BACKENDS)
+    """Sweep every test that names a ``stack`` argument across every
+    :data:`STACKS` case
+    (plain parametrize, so Hypothesis tests get it too without
+    function-scoped-fixture health checks)."""
+    if "stack" in metafunc.fixturenames:
+        metafunc.parametrize("stack", STACKS)
+
+
+def is_verified(stack: str) -> bool:
+    return stack.startswith("verified-")
+
+
+def is_sharded(stack: str) -> bool:
+    return stack.endswith("sharded")
+
+
+def node_slice(packets: PacketArray, protected, stack: str) -> PacketArray:
+    """``packets`` as the ``stack`` case's filter receives them: all of
+    them when ``shared``; when ``sharded``, those whose protected-side
+    address the fleet's ring assigns to :data:`SHARD_NODE` (both directions
+    of a flow land on the same node)."""
+    if not is_sharded(stack):
+        return packets
+    incoming = packets.directions(protected) == DIRECTION_INCOMING
+    local_addr = np.where(incoming, packets.dst, packets.src)
+    owners = HashRing(FLEET_NODES).owners_vec(local_addr.astype(np.uint64))
+    return packets[owners == SHARD_NODE]
 
 
 @pytest.fixture(scope="session")
-def trace() -> Trace:
+def whole_trace() -> Trace:
     """Benign client-network workload with a SYN flood on top."""
     base = ClientNetworkWorkload(
         WorkloadConfig(duration=25.0, target_pps=250.0, seed=97)).generate()
@@ -112,22 +97,67 @@ def trace() -> Trace:
     return base.merged_with(Trace(flood, base.protected)).time_slice(0.0, 26.0)
 
 
-def make_serial(protected, backend="serial", config=CONFIG, **kwargs):
-    """The serial reference for ``backend``: a plain bitmap filter, or a
-    hybrid over one when the sweep name asks for the verified stack."""
+@pytest.fixture()
+def trace(whole_trace, stack) -> Trace:
+    """The session trace as the ``stack`` case's deployment sees it."""
+    packets = node_slice(whole_trace.packets, whole_trace.protected, stack)
+    return Trace(packets, whole_trace.protected, dict(whole_trace.metadata))
+
+
+def make_filter(protected, stack="shared", config=CONFIG, **kwargs):
+    """A fresh filter of ``stack``: a plain bitmap filter, or the hybrid
+    verification tier over one."""
     filt = BitmapFilter(config, protected, **kwargs)
-    if is_verified(backend):
+    if is_verified(stack):
         filt = HybridVerifiedFilter(filt, VERIFY_SPEC)
     return filt
 
 
-def make_parallel(backend, protected, num_workers, config=CONFIG, **kwargs):
-    """A parallel filter of the requested backend over ``config``."""
-    filt = PARALLEL_FILTERS[base_backend(backend)](
-        config, protected, num_workers=num_workers, **kwargs)
-    if is_verified(backend):
-        filt = HybridVerifiedFilter(filt, VERIFY_SPEC)
+def scalar_batch(filt, packets) -> np.ndarray:
+    """The reference for ``process_batch``: ``process()`` per packet."""
+    return np.array([filt.process(pkt) is Decision.PASS for pkt in packets],
+                    dtype=bool)
+
+
+def make_reference(protected, stack="shared", config=CONFIG, **kwargs):
+    """A filter of ``stack`` whose ``process_batch`` is :func:`scalar_batch`,
+    so harnesses that drive batches (the pipeline, the engine) run the
+    reference model without knowing it."""
+    filt = make_filter(protected, stack, config, **kwargs)
+    filt.process_batch = lambda packets: scalar_batch(filt, packets)
     return filt
+
+
+def scalar_replay_with_faults(filt, trace, injectors):
+    """The reference for :func:`repro.faults.harness.run_with_faults`: the
+    same trace transforms and fault schedule (an event at ``t`` applies
+    before any packet with timestamp ``>= t``; an event may replace the
+    filter), every packet judged by scalar ``process()``.
+
+    Returns ``(verdicts, final filter)``.
+    """
+    for injector in injectors:
+        trace = injector.transform_trace(trace)
+    events = sorted((event for injector in injectors
+                     for event in injector.events()),
+                    key=lambda event: event.ts)
+    verdicts = np.ones(len(trace.packets), dtype=bool)
+    pending = iter(events)
+    event = next(pending, None)
+    for i, pkt in enumerate(trace.packets):
+        while event is not None and event.ts <= pkt.ts:
+            filt = _apply(event, filt)
+            event = next(pending, None)
+        verdicts[i] = filt.process(pkt) is Decision.PASS
+    while event is not None:
+        filt = _apply(event, filt)
+        event = next(pending, None)
+    return verdicts, filt
+
+
+def _apply(event, filt):
+    replacement = event.apply(filt, event.ts)
+    return filt if replacement is None else replacement
 
 
 def bitmap_state(filt):
@@ -137,18 +167,24 @@ def bitmap_state(filt):
     return vectors, bitmap.current_index, bitmap.rotations
 
 
-def assert_same_filter_state(serial, parallel) -> None:
-    """The full serial-equivalence contract on two post-replay filters."""
-    assert parallel.stats.as_dict() == serial.stats.as_dict()
-    assert parallel.next_rotation == serial.next_rotation
-    serial_vecs, serial_idx, serial_rot = bitmap_state(serial)
-    parallel_vecs, parallel_idx, parallel_rot = bitmap_state(parallel)
-    assert parallel_idx == serial_idx
-    assert parallel_rot == serial_rot
-    assert np.array_equal(parallel_vecs, serial_vecs)
-    if isinstance(serial, HybridVerifiedFilter) or isinstance(
-            parallel, HybridVerifiedFilter):
-        # Verified sweeps: the exact tier must agree too, byte for byte.
-        assert parallel.table.state_digest() == serial.table.state_digest()
-        assert parallel.confirmed == serial.confirmed
-        assert parallel.denied == serial.denied
+def snapshot_digest(filt) -> str:
+    """SHA-256 of the filter's snapshot-v2 archive."""
+    return hashlib.sha256(snapshot_to_bytes(filt)).hexdigest()
+
+
+def assert_same_filter_state(reference, subject) -> None:
+    """The full equivalence contract on two post-replay filters."""
+    assert subject.stats.as_dict() == reference.stats.as_dict()
+    assert subject.next_rotation == reference.next_rotation
+    ref_vecs, ref_idx, ref_rot = bitmap_state(reference)
+    sub_vecs, sub_idx, sub_rot = bitmap_state(subject)
+    assert sub_idx == ref_idx
+    assert sub_rot == ref_rot
+    assert np.array_equal(sub_vecs, ref_vecs)
+    if isinstance(reference, HybridVerifiedFilter):
+        # Verified stack: the exact tier must agree too, byte for byte.
+        assert subject.table.state_digest() == reference.table.state_digest()
+        assert subject.confirmed == reference.confirmed
+        assert subject.denied == reference.denied
+    if not reference.is_down:  # snapshots refuse a failed filter
+        assert snapshot_digest(subject) == snapshot_digest(reference)

@@ -91,8 +91,8 @@ def test_reconfig_changes_verdicts_so_the_identity_is_not_vacuous(
     packets = tiny_trace.packets.sorted_by_time()[:8000]
     trace = Trace(packets, tiny_trace.protected)
     plain = np.asarray(run_filter_on_trace(
-        BitmapFilter(OLD_CFG, tiny_trace.protected), trace,
-        exact=True).verdicts, dtype=bool)
+        BitmapFilter(OLD_CFG, tiny_trace.protected), trace).verdicts,
+        dtype=bool)
     boundary = float(packets.ts[len(packets) // 3])
     reconfig = run_filter_with_reconfig(OLD_CFG, NEW_CFG, trace, boundary)
     assert len(plain) == len(reconfig)
@@ -108,7 +108,7 @@ def test_add_node_mid_replay_confines_divergence_and_serves_warm(
     packets = tiny_trace.packets.sorted_by_time()[:8000]
     expected = np.asarray(run_filter_on_trace(
         BitmapFilter(OLD_CFG, tiny_trace.protected),
-        Trace(packets, tiny_trace.protected), exact=True).verdicts,
+        Trace(packets, tiny_trace.protected)).verdicts,
         dtype=bool)
 
     specs = fleet.start()

@@ -3,8 +3,9 @@
 Verdict equality is necessary but not sufficient — the experiment layer
 consumes *derived* artifacts: scored run results (drop rates, confusion
 counts), telemetry counters, and on-disk snapshots.  Each must come out
-identical whichever backend produced it.  ``backend`` arguments sweep
-automatically over every parallel backend (see conftest).
+identical whether the batch path or the scalar reference produced it.
+``stack`` arguments sweep both filter stacks, each on the whole trace and
+on one fleet node's slice of it (see conftest).
 """
 
 import io
@@ -19,128 +20,89 @@ from repro.sim.pipeline import run_filter_on_trace
 from repro.telemetry import MetricsRegistry, use_registry
 from tests.differential.conftest import (
     CONFIG,
-    WORKER_COUNTS,
-    base_backend,
+    VERIFY_SPEC,
     is_verified,
-    make_parallel,
-    make_serial,
+    make_filter,
+    make_reference,
+    scalar_batch,
 )
 
 pytestmark = pytest.mark.differential
 
 
 def _counter_total(registry: MetricsRegistry, name: str) -> int:
-    """Sum a counter over its unified label sets (serial splits by path
-    label, the sharded proxy publishes one path="sharded" series).
-    Per-shard replica detail (shard=N labels) is excluded — each replica
-    re-counts broadcast marks, so including it would triple-count."""
+    """Sum a counter over its label sets (the scalar and batch paths
+    publish under different ``path`` labels)."""
     return sum(metric.value for metric in registry.metrics()
-               if metric.name == name
-               and "shard" not in dict(metric.labels))
+               if metric.name == name)
 
 
-@pytest.mark.parametrize("num_workers", WORKER_COUNTS)
-def test_scored_pipeline_results_agree(trace, backend, num_workers):
-    serial_run = run_filter_on_trace(make_serial(trace.protected, backend),
-                                     trace)
-    parallel_run = run_filter_on_trace(
-        make_serial(trace.protected, backend), trace,
-        backend=base_backend(backend), workers=num_workers)
-    assert np.array_equal(parallel_run.verdicts, serial_run.verdicts)
-    assert parallel_run.confusion == serial_run.confusion
-    assert parallel_run.filter_stats == serial_run.filter_stats
+def _assert_same_scores(got, expected) -> None:
+    assert np.array_equal(got.verdicts, expected.verdicts)
+    assert got.confusion == expected.confusion
+    assert got.filter_stats == expected.filter_stats
     # The scored per-second series (the Fig. 5 drop-rate curves) is derived
     # purely from the verdicts, so field-for-field equality must follow.
     for fieldname in ("seconds", "normal_incoming", "attack_incoming",
                       "passed_incoming", "dropped_incoming"):
-        assert np.array_equal(getattr(parallel_run.series, fieldname),
-                              getattr(serial_run.series, fieldname)), fieldname
+        assert np.array_equal(getattr(got.series, fieldname),
+                              getattr(expected.series, fieldname)), fieldname
 
 
-def test_ambient_backend_matches_explicit(trace, backend):
-    """The ambient stack installed via use_backend()/use_layers() (the
-    CLI's --backend/--workers/--filter path) produces the same scores as
-    the explicit backend= argument over a hand-built filter."""
-    explicit = run_filter_on_trace(make_serial(trace.protected, backend),
-                                   trace, backend=base_backend(backend),
-                                   workers=2)
-    layers = ("verify",) if is_verified(backend) else ()
-    with filter_api.use_backend(name=base_backend(backend), workers=2), \
-            filter_api.use_layers(layers):
-        assert filter_api.get_backend().is_parallel
+def test_scored_pipeline_results_agree(trace, stack):
+    expected = run_filter_on_trace(make_reference(trace.protected, stack),
+                                   trace)
+    got = run_filter_on_trace(make_filter(trace.protected, stack), trace)
+    _assert_same_scores(got, expected)
+
+
+def test_ambient_stack_matches_scalar(trace, stack):
+    """The ambient stack installed via use_layers() (the CLI's --filter
+    path) scores the same as the scalar reference of that stack."""
+    expected = run_filter_on_trace(make_reference(trace.protected, stack),
+                                   trace)
+    layers = (VERIFY_SPEC,) if is_verified(stack) else ()
+    with filter_api.use_layers(layers):
         ambient_filter = build_filter(CONFIG, trace.protected)
-        try:
-            ambient = run_filter_on_trace(ambient_filter, trace)
-        finally:
-            ambient_filter.close()
-    assert np.array_equal(ambient.verdicts, explicit.verdicts)
-    assert ambient.confusion == explicit.confusion
+    got = run_filter_on_trace(ambient_filter, trace)
+    _assert_same_scores(got, expected)
 
 
-def test_unified_telemetry_counters_agree(trace, backend):
-    """Whatever series shape a backend publishes (the sharded proxy's
-    merged path="sharded" counters, the shared filter's inherited serial
-    per-path counters), the unified totals must equal the serial run's."""
-    with use_registry(MetricsRegistry()) as serial_registry:
-        serial = make_serial(trace.protected, backend)
-        serial.process_batch(trace.packets)
-    with use_registry(MetricsRegistry()) as parallel_registry:
-        with make_parallel(backend, trace.protected, 2) as parallel:
-            parallel.process_batch(trace.packets)
+def test_unified_telemetry_counters_agree(trace, stack):
+    """The batch path credits its counters under ``path="exact_batch"``,
+    the scalar path under ``path="scalar"``; the totals must match."""
+    with use_registry(MetricsRegistry()) as scalar_registry:
+        scalar_batch(make_filter(trace.protected, stack), trace.packets)
+    with use_registry(MetricsRegistry()) as batch_registry:
+        make_filter(trace.protected, stack).process_batch(trace.packets)
 
+    assert _counter_total(scalar_registry, "repro_filter_marks_total") > 0
     for name in ("repro_filter_marks_total", "repro_filter_admits_total",
                  "repro_filter_drops_total", "repro_filter_rotations_total",
-                 "repro_filter_warmup_admits_total"):
-        assert (_counter_total(parallel_registry, name)
-                == _counter_total(serial_registry, name)), name
+                 "repro_filter_warmup_admits_total",
+                 "repro_hybrid_confirmed_total", "repro_hybrid_denied_total"):
+        assert (_counter_total(batch_registry, name)
+                == _counter_total(scalar_registry, name)), name
 
 
-def test_sharded_replicas_count_broadcast_marks(trace):
-    """Per-shard replica detail reflects broadcast marking: every replica
-    marked every outgoing packet, so each shard's replica-level mark
-    counter equals the serial count.  (Sharded-specific by design — the
-    shared backend has exactly one copy of the bits and no replicas.)"""
-    with use_registry(MetricsRegistry()) as serial_registry:
-        serial = make_serial(trace.protected)
-        serial.process_batch(trace.packets)
-    with use_registry(MetricsRegistry()) as sharded_registry:
-        with make_parallel("sharded", trace.protected, 2) as sharded:
-            sharded.process_batch(trace.packets)
+def test_snapshot_agreement(trace, stack):
+    """save_filter() after a batch run captures byte-identical state: the
+    snapshot loads into a filter indistinguishable from one that judged
+    the whole run packet by packet."""
+    reference = make_filter(trace.protected, stack)
+    scalar_batch(reference, trace.packets)
+    subject = make_filter(trace.protected, stack)
+    subject.process_batch(trace.packets)
+    reference_snap, subject_snap = io.BytesIO(), io.BytesIO()
+    save_filter(reference, reference_snap)
+    save_filter(subject, subject_snap)
+    assert subject_snap.getvalue() == reference_snap.getvalue()
 
-    serial_marks = _counter_total(serial_registry,
-                                  "repro_filter_marks_total")
-    per_shard = [metric for metric in sharded_registry.metrics()
-                 if metric.name == "repro_filter_marks_total"
-                 and dict(metric.labels).get("shard") is not None]
-    assert len(per_shard) == 2
-    for metric in per_shard:
-        assert metric.value == serial_marks
-
-
-def test_snapshot_agreement(trace, backend, tmp_path):
-    """save_filter() on a parallel filter captures byte-identical state:
-    the snapshot loads into a serial filter indistinguishable from one
-    that did the whole run serially."""
-    serial = make_serial(trace.protected, backend)
-    serial.process_batch(trace.packets)
-    with make_parallel(backend, trace.protected, 4) as parallel:
-        parallel.process_batch(trace.packets)
-        serial_snap, parallel_snap = io.BytesIO(), io.BytesIO()
-        save_filter(serial, serial_snap)
-        save_filter(parallel, parallel_snap)
-
-    serial_snap.seek(0)
-    parallel_snap.seek(0)
-    restored_serial = load_filter(serial_snap)
-    restored_parallel = load_filter(parallel_snap)
-    assert (restored_parallel.stats.as_dict()
-            == restored_serial.stats.as_dict())
-    assert restored_parallel.next_rotation == restored_serial.next_rotation
-    assert np.array_equal(
-        np.stack([v.as_numpy() for v in restored_parallel.bitmap.vectors]),
-        np.stack([v.as_numpy() for v in restored_serial.bitmap.vectors]))
-
+    reference_snap.seek(0)
+    subject_snap.seek(0)
+    restored_reference = load_filter(reference_snap)
+    restored_subject = load_filter(subject_snap)
     # Both restored filters judge fresh traffic identically.
     tail = trace.packets[-500:]
-    assert np.array_equal(restored_parallel.process_batch(tail),
-                          restored_serial.process_batch(tail))
+    assert np.array_equal(restored_subject.process_batch(tail),
+                          scalar_batch(restored_reference, tail))

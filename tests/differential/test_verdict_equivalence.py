@@ -1,11 +1,12 @@
 """Differential proof, part 1: fault-free verdict and state agreement.
 
-Every parallel filter must return the exact verdict vector the serial
-filter returns — same trace, same config — for every backend, every
-worker count, on both the exact and the windowed batch path, on the
-scalar path, and across adversarially boundary-clustered timestamp
-sequences.  ``backend`` arguments sweep automatically over every
-parallel backend (see conftest).
+The vectorised ``process_batch`` must return the exact verdict vector —
+and leave the exact state — that scalar ``process()`` gives packet by
+packet: over a whole trace in one batch or in frames, interleaved with
+scalar calls, on replies that arrive before their own mark inside one
+rotation window, and across random and rotation-boundary-clustered
+Hypothesis scripts.  ``stack`` arguments sweep both filter stacks, each
+on the whole input and on one fleet node's slice of it (see conftest).
 """
 
 import numpy as np
@@ -13,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.net.packet import Packet, PacketArray, TcpFlags
+from repro.net.protocols import IPPROTO_TCP
 from tests.differential.conftest import (
-    PARALLEL_FILTERS,
-    PARALLEL_WRAPPERS,
-    WORKER_COUNTS,
     assert_same_filter_state,
-    make_parallel,
-    make_serial,
+    make_filter,
+    node_slice,
+    scalar_batch,
 )
 from tests.strategies import (
     PROTECTED,
@@ -36,50 +37,47 @@ HYP_CONFIG = BitmapFilterConfig(order=10, num_vectors=4, num_hashes=3,
                                 rotation_interval=5.0)
 
 
-@pytest.mark.parametrize("num_workers", WORKER_COUNTS)
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "windowed"])
-def test_full_trace_verdicts_and_state(trace, backend, num_workers, exact):
-    serial = make_serial(trace.protected, backend)
-    expected = serial.process_batch(trace.packets, exact=exact)
-    with make_parallel(backend, trace.protected, num_workers) as parallel:
-        got = parallel.process_batch(trace.packets, exact=exact)
+def _assert_batch_equals_scalar(protected, stack, batches, config=None):
+    """Feed ``batches`` to a batch-driven filter and, packet by packet, to
+    a scalar one; require identical verdicts and final state."""
+    kwargs = {} if config is None else {"config": config}
+    reference = make_filter(protected, stack, **kwargs)
+    subject = make_filter(protected, stack, **kwargs)
+    for batch in batches:
+        batch = node_slice(batch, protected, stack)
+        expected = scalar_batch(reference, batch)
+        got = subject.process_batch(batch)
         assert np.array_equal(got, expected)
-        assert_same_filter_state(serial, parallel)
+    assert_same_filter_state(reference, subject)
 
 
-@pytest.mark.parametrize("num_workers", (2, 3))
-def test_scalar_path_agrees(trace, backend, num_workers):
-    packets = list(trace.packets[:400])
-    serial = make_serial(trace.protected, backend)
-    with make_parallel(backend, trace.protected, num_workers) as parallel:
-        for pkt in packets:
-            assert parallel.process(pkt) is serial.process(pkt), pkt
-        assert_same_filter_state(serial, parallel)
+@pytest.mark.parametrize("frame", [None, 500, 32],
+                         ids=["whole", "frames500", "frames32"])
+def test_full_trace_verdicts_and_state(trace, stack, frame):
+    packets = trace.packets
+    step = frame or len(packets)
+    batches = [packets[i:i + step] for i in range(0, len(packets), step)]
+    _assert_batch_equals_scalar(trace.protected, stack, batches)
 
 
-def test_batch_after_scalar_interleaving(trace, backend):
+def test_batch_after_scalar_interleaving(trace, stack):
     """Mixing the scalar and batch entry points must not diverge."""
     packets = trace.packets[:900]
     split = 300
-    serial = make_serial(trace.protected, backend)
-    with make_parallel(backend, trace.protected, 2) as parallel:
-        for pkt in packets[:split]:
-            assert parallel.process(pkt) is serial.process(pkt)
-        expected = serial.process_batch(packets[split:])
-        got = parallel.process_batch(packets[split:])
-        assert np.array_equal(got, expected)
-        assert_same_filter_state(serial, parallel)
+    reference = make_filter(trace.protected, stack)
+    subject = make_filter(trace.protected, stack)
+    for pkt in packets[:split]:
+        assert subject.process(pkt) is reference.process(pkt)
+    expected = scalar_batch(reference, packets[split:])
+    got = subject.process_batch(packets[split:])
+    assert np.array_equal(got, expected)
+    assert_same_filter_state(reference, subject)
 
 
-def test_parallel_windowed_equals_serial_windowed(trace, backend):
-    """exact=False is an approximation of serial-exact, but it must still
-    be the *same* approximation on every backend — verified on a batch
-    where the approximation provably diverges (replies arriving just
-    before their own outgoing mark inside one rotation window, which the
-    windowed path admits and the exact path drops)."""
-    from repro.net.packet import Packet, PacketArray, TcpFlags
-    from repro.net.protocols import IPPROTO_TCP
-
+def test_reply_before_its_mark_in_one_window(trace, stack):
+    """Replies arriving just before their own outgoing mark inside one
+    rotation window must be dropped, and the reply just after the mark
+    passed — the ordering a marks-first shortcut would get wrong."""
     protected = trace.protected
     packets = []
     for flow in range(24):
@@ -94,76 +92,40 @@ def test_parallel_windowed_equals_serial_windowed(trace, backend):
         packets.append(Packet(t0 + 0.10, IPPROTO_TCP, server, 80, client,
                               sport, TcpFlags.ACK))   # reply after the mark
     packets.sort(key=lambda pkt: pkt.ts)
-    batch = PacketArray.from_packets(packets)
+    # A ring slice keeps whole flows, so the triples stay intact.
+    batch = node_slice(PacketArray.from_packets(packets), protected, stack)
 
-    serial_windowed = make_serial(protected, backend).process_batch(
-        batch, exact=False)
-    serial_exact = make_serial(protected, backend).process_batch(
-        batch, exact=True)
-    assert not np.array_equal(serial_windowed, serial_exact), \
-        "batch too tame: windowed path never diverged, weak test"
-    with make_parallel(backend, protected, 4) as parallel:
-        got = parallel.process_batch(batch, exact=False)
-    assert np.array_equal(got, serial_windowed)
-
-
-def test_wrapper_wraps_pristine_donor(trace, backend):
-    wrap = PARALLEL_WRAPPERS[backend]
-    donor = make_serial(trace.protected, backend)
-    parallel = wrap(donor, 2)
-    try:
-        assert isinstance(parallel, PARALLEL_FILTERS[backend])
-        assert wrap(parallel, 4) is parallel  # idempotent
-        expected = donor.process_batch(trace.packets)
-        got = parallel.process_batch(trace.packets)
-        assert np.array_equal(got, expected)
-    finally:
-        parallel.close()
-
-
-def test_wrapper_refuses_used_donor(trace, backend):
-    donor = make_serial(trace.protected, backend)
-    donor.process_batch(trace.packets[:50])
-    with pytest.raises(ValueError, match="pristine"):
-        PARALLEL_WRAPPERS[backend](donor, 2)
+    reference = make_filter(protected, stack)
+    expected = scalar_batch(reference, batch)
+    assert not expected[0::3].any() and expected[2::3].all(), \
+        "scenario too tame: the early replies should all miss"
+    subject = make_filter(protected, stack)
+    assert np.array_equal(subject.process_batch(batch), expected)
+    assert_same_filter_state(reference, subject)
 
 
 @given(script=mixed_direction_packets())
 @settings(max_examples=25, deadline=None)
-def test_property_mixed_direction_batches(backend, script):
-    from repro.net.packet import PacketArray
-
-    batch = PacketArray.from_packets(script)
-    serial = make_serial(PROTECTED, backend, config=HYP_CONFIG)
-    expected = serial.process_batch(batch)
-    with make_parallel(backend, PROTECTED, 2,
-                       config=HYP_CONFIG) as parallel:
-        got = parallel.process_batch(batch)
-        assert np.array_equal(got, expected)
-        assert_same_filter_state(serial, parallel)
+def test_property_mixed_direction_batches(stack, script):
+    _assert_batch_equals_scalar(PROTECTED, stack,
+                                [PacketArray.from_packets(script)],
+                                config=HYP_CONFIG)
 
 
 @given(events=traffic_scripts())
 @settings(max_examples=25, deadline=None)
-def test_property_scalar_scripts(backend, events):
-    serial = make_serial(PROTECTED, backend, config=HYP_CONFIG)
-    with make_parallel(backend, PROTECTED, 3,
-                       config=HYP_CONFIG) as parallel:
-        for pkt in script_to_packets(events):
-            assert parallel.process(pkt) is serial.process(pkt), pkt
+def test_property_scalar_scripts(stack, events):
+    _assert_batch_equals_scalar(
+        PROTECTED, stack,
+        [PacketArray.from_packets(script_to_packets(events))],
+        config=HYP_CONFIG)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "windowed"])
 @given(batch=rotation_straddling_arrays(
     rotation_interval=HYP_CONFIG.rotation_interval))
 @settings(max_examples=25, deadline=None)
-def test_property_rotation_boundary_clusters(backend, exact, batch):
+def test_property_rotation_boundary_clusters(stack, batch):
     """Timestamps landing just before / on / just after rotation
-    boundaries — the adversarial shape for lockstep-rotation bugs."""
-    serial = make_serial(PROTECTED, backend, config=HYP_CONFIG)
-    expected = serial.process_batch(batch, exact=exact)
-    with make_parallel(backend, PROTECTED, 2,
-                       config=HYP_CONFIG) as parallel:
-        got = parallel.process_batch(batch, exact=exact)
-        assert np.array_equal(got, expected)
-        assert_same_filter_state(serial, parallel)
+    boundaries — the adversarial shape for window-splitting bugs."""
+    _assert_batch_equals_scalar(PROTECTED, stack, [batch],
+                                config=HYP_CONFIG)

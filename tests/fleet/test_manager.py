@@ -80,8 +80,8 @@ class TestWarmHandoff:
         fcfg = FilterConfig(order=12, num_vectors=4, rotation_interval=2.5)
         offline = BitmapFilter(fcfg, tiny_trace.protected)
         expected = np.asarray(run_filter_on_trace(
-            offline, Trace(packets, tiny_trace.protected),
-            exact=True).verdicts, dtype=bool)
+            offline, Trace(packets, tiny_trace.protected)).verdicts,
+            dtype=bool)
 
         specs = manager.start()
         frames = frames_of(packets)

@@ -310,7 +310,7 @@ class TestAgainstRealDaemons:
         packets = tiny_trace.packets.sorted_by_time()
         filt = BitmapFilter(FCFG, PROTECTED)
         expected = np.asarray(
-            run_filter_on_trace(filt, tiny_trace, exact=True).verdicts,
+            run_filter_on_trace(filt, tiny_trace).verdicts,
             dtype=bool)
         with daemon_fleet(3) as (specs, _):
             with FleetRouter(specs, protected=PROTECTED) as router:

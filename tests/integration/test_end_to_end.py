@@ -32,12 +32,12 @@ def small_cfg():
 class TestAttackDefense:
     def test_bitmap_filters_most_attack_traffic(self, attacked_trace, small_cfg):
         filt = BitmapFilter(small_cfg, attacked_trace.protected)
-        result = run_filter_on_trace(filt, attacked_trace, exact=True)
+        result = run_filter_on_trace(filt, attacked_trace)
         assert result.confusion.attack_filter_rate > 0.95
 
     def test_normal_traffic_mostly_unharmed(self, attacked_trace, small_cfg):
         filt = BitmapFilter(small_cfg, attacked_trace.protected)
-        result = run_filter_on_trace(filt, attacked_trace, exact=True)
+        result = run_filter_on_trace(filt, attacked_trace)
         assert result.confusion.false_positive_rate < 0.05
 
     def test_all_spi_filters_also_defend(self, attacked_trace):
@@ -48,8 +48,7 @@ class TestAttackDefense:
 
     def test_spi_and_bitmap_agree_on_attack(self, attacked_trace, small_cfg):
         bitmap = run_filter_on_trace(
-            BitmapFilter(small_cfg, attacked_trace.protected), attacked_trace,
-            exact=True,
+            BitmapFilter(small_cfg, attacked_trace.protected), attacked_trace
         )
         spi = run_filter_on_trace(
             HashListFilter(attacked_trace.protected), attacked_trace
@@ -65,9 +64,9 @@ class TestAttackDefense:
         filt = BitmapFilter(small_cfg, attacked_trace.protected)
         packets = attacked_trace.packets
         mid = int(np.searchsorted(packets.ts, 35.0))
-        v1 = filt.process_batch(packets[:mid], exact=True)
+        v1 = filt.process_batch(packets[:mid])
         utilization = filt.utilization()
-        v2 = filt.process_batch(packets[mid:], exact=True)
+        v2 = filt.process_batch(packets[mid:])
         predicted = penetration_probability(utilization, small_cfg.num_hashes)
 
         from repro.sim.metrics import score_run
@@ -82,7 +81,7 @@ class TestFilterRace:
     def test_bitmap_uses_far_less_memory_than_spi(self, attacked_trace, small_cfg):
         """The headline resource claim at matched defense quality."""
         bitmap = BitmapFilter(small_cfg, attacked_trace.protected)
-        run_filter_on_trace(bitmap, attacked_trace, exact=True)
+        run_filter_on_trace(bitmap, attacked_trace)
         spi = HashListFilter(attacked_trace.protected)
         run_filter_on_trace(spi, attacked_trace)
         assert bitmap.config.memory_bytes < 10 * 1024 * 1024
@@ -101,7 +100,7 @@ class TestFilterRace:
 class TestRotationUnderLoad:
     def test_rotations_happen_throughout(self, attacked_trace, small_cfg):
         filt = BitmapFilter(small_cfg, attacked_trace.protected)
-        run_filter_on_trace(filt, attacked_trace, exact=True)
+        run_filter_on_trace(filt, attacked_trace)
         duration = attacked_trace.packets.ts.max()
         expected = int(duration / small_cfg.rotation_interval)
         assert abs(filt.stats.rotations - expected) <= 1

@@ -50,13 +50,13 @@ class TestClockAnomalies:
         assert filt.process(request) is Decision.PASS
         assert filt.process(reply) is Decision.PASS
 
-    def test_windowed_batch_with_all_packets_in_one_window(
+    def test_batch_with_all_packets_in_one_window(
         self, small_config, protected, client_addr, server_addr
     ):
         request = make_request(0.1, client_addr, server_addr)
         batch = PacketArray.from_packets([request, make_reply(request, 0.2)])
         filt = BitmapFilter(small_config, protected)
-        assert filt.process_batch(batch, exact=False).all()
+        assert filt.process_batch(batch).all()
         assert filt.bitmap.rotations == 0
 
 
@@ -145,7 +145,7 @@ class TestResourceExhaustion:
         assert spi.num_flows > 10_000  # one state per scan tuple
 
         bitmap = BitmapFilter(small_config, protected)
-        bitmap.process_batch(pollution, exact=True)
+        bitmap.process_batch(pollution)
         assert bitmap.config.memory_bytes == small_config.memory_bytes
 
     def test_incoming_flood_creates_no_spi_state(self, protected):

@@ -89,7 +89,7 @@ class TestMechanismClaims:
 
         trace = generate_trace(SMALL)
         filt = BitmapFilter(SMALL.bitmap_config(), trace.protected)
-        verdicts = filt.process_batch(trace.packets, exact=True)
+        verdicts = filt.process_batch(trace.packets)
         survivors = trace.packets[verdicts]
         before = composition(trace.packets, trace.protected)
         after = composition(survivors, trace.protected)

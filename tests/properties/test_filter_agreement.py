@@ -6,8 +6,8 @@ must also pass the bitmap filter — the bitmap errs only on the permissive
 side (false negatives), never by dropping fresh legitimate replies.
 """
 
-import numpy as np
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
 from repro.net.packet import PacketArray
@@ -43,24 +43,58 @@ class TestGuaranteedWindowSoundness:
 
 
 class TestBatchEquivalence:
-    @given(events=traffic_scripts())
+    @given(events=traffic_scripts(),
+           warmup_until=st.one_of(st.none(), st.floats(0.0, 30.0)),
+           stalled=st.booleans())
+    # An inbound miss, then (same window) the mark that completes its bits.
+    @example(events=[(1.0, False, 0), (0.5, True, 0)],
+             warmup_until=None, stalled=False)
+    # The mark, then the inbound packet.
+    @example(events=[(1.0, True, 0), (0.5, False, 0)],
+             warmup_until=None, stalled=False)
+    # The same bits marked at two positions: the first mark counts.
+    @example(events=[(1.0, False, 1), (0.2, True, 1), (0.2, False, 1),
+                     (0.2, True, 1), (0.2, False, 1)],
+             warmup_until=None, stalled=False)
+    # Bits already set before the window: flow 74 (window 0) sets one of
+    # flow 11's three bits, flows 84 and 113 complete the other two early
+    # in window 1, so flow 11's inbound packet passes even though flow 74
+    # marks that pre-set bit again *after* it.
+    @example(events=[(1.0, True, 74), (5.0, True, 84), (0.1, True, 113),
+                     (0.1, False, 11), (0.1, True, 74)],
+             warmup_until=None, stalled=False)
+    # Warm-up grace ending inside a window, with misses on both sides.
+    @example(events=[(1.0, False, 0), (0.5, False, 1), (1.0, False, 2),
+                     (0.2, True, 2), (0.2, False, 2)],
+             warmup_until=2.0, stalled=False)
+    # A stalled rotation timer: the whole batch is one window.
+    @example(events=[(1.0, True, 0), (30.0, False, 0), (0.1, False, 1),
+                     (0.1, True, 1)],
+             warmup_until=None, stalled=True)
+    # One batch straddling several rotation boundaries (and a gap > Te).
+    @example(events=[(1.0, True, 0), (6.0, False, 0), (6.0, True, 1),
+                     (6.0, False, 1), (6.0, False, 0), (25.0, False, 1),
+                     (0.0, True, 2), (0.0, False, 2)],
+             warmup_until=None, stalled=False)
     @settings(max_examples=150, deadline=None)
-    def test_exact_batch_equals_scalar(self, events):
+    def test_exact_batch_equals_scalar(self, events, warmup_until, stalled):
+        """One ``process_batch`` call equals per-packet ``process``:
+        verdicts, ``FilterStats`` and every bitmap byte."""
         packets = _script_to_packets(events)
         scalar = BitmapFilter(CONFIG, PROTECTED)
-        expected = [scalar.process(p) is Decision.PASS for p in packets]
         batch = BitmapFilter(CONFIG, PROTECTED)
-        verdicts = batch.process_batch(PacketArray.from_packets(packets), exact=True)
+        for filt in (scalar, batch):
+            if warmup_until is not None:
+                filt.begin_warmup(warmup_until)
+            if stalled:
+                filt.stall_rotations()
+        expected = [scalar.process(p) is Decision.PASS for p in packets]
+        verdicts = batch.process_batch(PacketArray.from_packets(packets))
         assert verdicts.tolist() == expected
-
-    @given(events=traffic_scripts())
-    @settings(max_examples=150, deadline=None)
-    def test_windowed_is_superset_of_exact(self, events):
-        """The windowed approximation only ever passes *more*."""
-        packets = PacketArray.from_packets(_script_to_packets(events))
-        exact = BitmapFilter(CONFIG, PROTECTED).process_batch(packets, exact=True)
-        windowed = BitmapFilter(CONFIG, PROTECTED).process_batch(packets, exact=False)
-        assert bool(np.all(windowed >= exact))
+        assert batch.stats == scalar.stats
+        assert batch.bitmap.current_index == scalar.bitmap.current_index
+        for got, want in zip(batch.bitmap.vectors, scalar.bitmap.vectors):
+            assert got.as_numpy().tobytes() == want.as_numpy().tobytes()
 
 
 class TestOracleAgreement:

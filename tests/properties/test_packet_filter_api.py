@@ -5,13 +5,9 @@ The unified API (``repro.core.filter_api``) promises that
 ``process_batch(packets)`` on a fresh filter returns exactly the verdicts a
 scalar ``process`` loop would, for *all seven* implementations — the two
 bitmap variants, the hybrid bitmap→cuckoo verified stack, the three SPI
-backends, and the rate-limiting baseline.  ``exact=False`` is a windowed
-approximation knob for the bitmap-backed filters: the windowed path may
-only ever pass *more*, and every other filter must ignore the flag
-entirely.
+filters, and the rate-limiting baseline.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -43,10 +39,6 @@ FILTER_FACTORIES = {
 }
 
 ALL_FILTERS = sorted(FILTER_FACTORIES)
-#: Filters where exact=False must be a no-op (no windowed approximation).
-#: Bitmap-backed stacks have a real windowed approximation path.
-WINDOWED_FILTERS = ("BitmapFilter", "HybridVerifiedFilter")
-EXACT_ONLY_FILTERS = sorted(set(ALL_FILTERS) - set(WINDOWED_FILTERS))
 
 
 @pytest.mark.parametrize("name", ALL_FILTERS)
@@ -63,7 +55,7 @@ class TestBatchScalarAgreement:
         scalar = make()
         expected = [scalar.process(p) is Decision.PASS for p in script]
         batch = make()
-        got = batch.process_batch(PacketArray.from_packets(script), exact=True)
+        got = batch.process_batch(PacketArray.from_packets(script))
         assert got.tolist() == expected, name
 
     @pytest.mark.parametrize("name", ALL_FILTERS)
@@ -76,30 +68,8 @@ class TestBatchScalarAgreement:
         scalar = make()
         expected = [scalar.process(p) is Decision.PASS for p in script]
         batch = make()
-        got = batch.process_batch(PacketArray.from_packets(script), exact=True)
+        got = batch.process_batch(PacketArray.from_packets(script))
         assert got.tolist() == expected, name
-
-
-class TestExactFlagSemantics:
-    @pytest.mark.parametrize("name", EXACT_ONLY_FILTERS)
-    @given(script=packet_scripts())
-    @settings(max_examples=40, deadline=None)
-    def test_exact_flag_ignored_by_non_windowed_filters(self, name, script):
-        make = FILTER_FACTORIES[name]
-        batch = PacketArray.from_packets(script)
-        exact = make().process_batch(batch, exact=True)
-        windowed = make().process_batch(batch, exact=False)
-        assert exact.tolist() == windowed.tolist(), name
-
-    @pytest.mark.parametrize("name", WINDOWED_FILTERS)
-    @given(script=packet_scripts())
-    @settings(max_examples=40, deadline=None)
-    def test_windowed_is_superset_of_exact(self, name, script):
-        make = FILTER_FACTORIES[name]
-        batch = PacketArray.from_packets(script)
-        exact = make().process_batch(batch, exact=True)
-        windowed = make().process_batch(batch, exact=False)
-        assert bool(np.all(windowed >= exact)), name
 
 
 class TestDirectionalApi:

@@ -122,7 +122,7 @@ def test_expected_fp_matches_measured_drops():
     predicted = expected_false_positive_rate(delays, 4, 5.0)
 
     filt = BitmapFilter(filter_config, trace.protected)
-    verdicts = filt.process_batch(trace.packets, exact=True)
+    verdicts = filt.process_batch(trace.packets)
     incoming = trace.packets.directions(trace.protected) == 1
     measured = float((~verdicts[incoming]).mean())
     # The prediction covers delay-expiry drops; measured includes them plus

@@ -44,9 +44,9 @@ def frames_of(packets: PacketArray, step: int = 500):
     return [packets[i:i + step] for i in range(0, len(packets), step)]
 
 
-def offline_verdicts(trace, fcfg=FCFG, exact=True) -> np.ndarray:
+def offline_verdicts(trace, fcfg=FCFG) -> np.ndarray:
     filt = BitmapFilter(fcfg, trace.protected)
-    result = run_filter_on_trace(filt, trace, exact=exact)
+    result = run_filter_on_trace(filt, trace)
     return np.asarray(result.verdicts, dtype=bool)
 
 
@@ -79,29 +79,13 @@ class TestVerdictParity:
             await stop(daemon)
         np.testing.assert_array_equal(np.concatenate(masks), expected)
 
-    @pytest.mark.slow
-    async def test_sharded_daemon_matches_offline_replay(self, tiny_trace):
+    async def test_one_frame_trace_matches_offline_replay(self, tiny_trace):
         expected = offline_verdicts(tiny_trace)
-        daemon = await booted(serve_config(workers=2))
+        daemon = await booted(serve_config(batch_max_packets=10 ** 9))
         try:
             client = await AsyncFilterClient.connect(*daemon.data_address)
-            masks = await client.filter_stream(
-                frames_of(tiny_trace.packets), window=8)
-            await client.goodbye()
-            await client.close()
-        finally:
-            await stop(daemon)
-        np.testing.assert_array_equal(np.concatenate(masks), expected)
-
-    async def test_windowed_mode_matches_offline_windowed(self, tiny_trace):
-        expected = offline_verdicts(tiny_trace, exact=False)
-        daemon = await booted(serve_config(exact=False,
-                                           batch_max_packets=10 ** 9))
-        try:
-            client = await AsyncFilterClient.connect(*daemon.data_address)
-            # One frame per call, huge coalescing ceiling: the daemon sees
-            # the same batch boundaries the offline windowed run does only
-            # if we send everything as one frame.
+            # The whole trace as one frame: one process_batch call spanning
+            # every rotation window of the trace.
             mask = await client.filter(tiny_trace.packets)
             await client.goodbye()
             await client.close()
@@ -143,7 +127,7 @@ class TestProtocolSurface:
             await stop(daemon)
         assert info["filter"]["order"] == FCFG.order
         assert info["filter"]["rotation_interval"] == FCFG.rotation_interval
-        assert info["backend"] == "serial"
+        assert not {"backend", "workers", "exact"} & set(info)
         assert info["clock"] == "packet"
         assert sorted(info["protected"]) == sorted(
             str(net) for net in PROTECTED.networks)
@@ -437,33 +421,6 @@ class TestSnapshotRestore:
         await stop(first)  # writes the final snapshot
 
         second = await booted(serve_config(restore_path=snap_path))
-        try:
-            client = await AsyncFilterClient.connect(*second.data_address)
-            masks += await client.filter_stream(frames_of(packets[half:]),
-                                                window=4)
-            await client.goodbye()
-            await client.close()
-        finally:
-            await stop(second)
-        np.testing.assert_array_equal(np.concatenate(masks), expected)
-
-    @pytest.mark.slow
-    async def test_restore_into_sharded_backend(self, tiny_trace, tmp_path):
-        expected = offline_verdicts(tiny_trace)
-        packets = tiny_trace.packets
-        half = len(packets) // 2
-        snap_path = str(tmp_path / "mid.npz")
-
-        first = await booted(serve_config(snapshot_path=snap_path))
-        client = await AsyncFilterClient.connect(*first.data_address)
-        masks = await client.filter_stream(frames_of(packets[:half]),
-                                           window=4)
-        await client.goodbye()
-        await client.close()
-        await stop(first)
-
-        second = await booted(serve_config(restore_path=snap_path,
-                                           workers=2))
         try:
             client = await AsyncFilterClient.connect(*second.data_address)
             masks += await client.filter_stream(frames_of(packets[half:]),

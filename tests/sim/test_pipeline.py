@@ -47,19 +47,6 @@ class TestRunFilterOnTrace:
         with pytest.raises(TypeError):
             run_filter_on_trace(object(), tiny_trace)
 
-    def test_exact_and_windowed_agree_on_rates(self, tiny_trace, small_config):
-        exact = run_filter_on_trace(
-            BitmapFilter(small_config, tiny_trace.protected), tiny_trace, exact=True
-        )
-        windowed = run_filter_on_trace(
-            BitmapFilter(small_config, tiny_trace.protected), tiny_trace, exact=False
-        )
-        assert windowed.incoming_drop_rate == pytest.approx(
-            exact.incoming_drop_rate, abs=0.02
-        )
-        # Windowed is never stricter.
-        assert bool(np.all(windowed.verdicts >= exact.verdicts))
-
 
 class TestWindowedDropRates:
     def test_shape_and_range(self, tiny_trace, small_config):

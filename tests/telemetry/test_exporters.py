@@ -155,7 +155,7 @@ class TestFilterRunSnapshot:
             sampler = JsonLinesSampler()
             registry.add_sampler(sampler)
             filt = BitmapFilter(small_config, attacked.protected)
-            run_filter_on_trace(filt, attacked, exact=True)
+            run_filter_on_trace(filt, attacked)
             prom = to_prometheus(registry)
         return sampler, prom, filt
 

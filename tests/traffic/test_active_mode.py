@@ -88,7 +88,7 @@ class TestFilterCompatibilityInWorkload:
                                rotation_interval=5.0),
             trace.protected,
         )
-        verdicts = filt.process_batch(trace.packets, exact=True)
+        verdicts = filt.process_batch(trace.packets)
         # Inbound channel SYNs: incoming TCP pure-SYN packets.
         pkts = trace.packets
         incoming = pkts.directions(trace.protected) == 1

@@ -55,7 +55,7 @@ class TestBurstProfile:
                                rotation_interval=5.0),
             trace.protected,
         )
-        verdicts = filt.process_batch(trace.packets, exact=True)
+        verdicts = filt.process_batch(trace.packets)
         incoming = trace.packets.directions(trace.protected) == 1
         in_burst = incoming & (trace.packets.ts >= 20) & (trace.packets.ts < 40)
         drop_rate = float((~verdicts[in_burst]).mean())

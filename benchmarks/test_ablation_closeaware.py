@@ -24,12 +24,12 @@ def comparison():
     incoming = packets.directions(trace.protected) == 1
     results = {}
 
-    plain = BitmapFilter(SMALL.bitmap_config(), trace.protected)
+    plain = BitmapFilter(SMALL.filter_config(), trace.protected)
     verdicts = plain.process_batch(packets)
     confusion, _ = score_run(packets, verdicts, incoming, trace.duration)
     results["bitmap"] = (confusion, plain.config.memory_bytes, 0)
 
-    aware = CloseAwareBitmapFilter(SMALL.bitmap_config(), trace.protected,
+    aware = CloseAwareBitmapFilter(SMALL.filter_config(), trace.protected,
                                    CloseAwareConfig(grace=2.5, lifetime=20.0))
     verdicts = aware.process_batch(packets)
     confusion, _ = score_run(packets, verdicts, incoming, trace.duration)

@@ -65,7 +65,7 @@ class TestFilterThroughput:
 
     def test_bitmap_batch(self, benchmark, scale, medium_trace):
         def run():
-            filt = BitmapFilter(scale.bitmap_config(), medium_trace.protected)
+            filt = BitmapFilter(scale.filter_config(), medium_trace.protected)
             return filt.process_batch(medium_trace.packets)
 
         verdicts = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -27,7 +27,7 @@ def _batch_run_seconds(scale, trace, repeats=3):
     """Min-of-N wall time for one batch pass over the trace."""
     best = float("inf")
     for _ in range(repeats):
-        filt = BitmapFilter(scale.bitmap_config(), trace.protected)
+        filt = BitmapFilter(scale.filter_config(), trace.protected)
         begin = time.perf_counter()
         filt.process_batch(trace.packets)
         best = min(best, time.perf_counter() - begin)
@@ -40,12 +40,12 @@ class TestNullRegistryOverhead:
 
     def test_noop_filter_holds_no_instruments(self, scale, medium_trace):
         """Under the null registry the hot path carries only a None check."""
-        filt = BitmapFilter(scale.bitmap_config(), medium_trace.protected)
+        filt = BitmapFilter(scale.filter_config(), medium_trace.protected)
         assert filt._tel is None
 
     def test_live_filter_holds_instruments(self, scale, medium_trace):
         with use_registry():
-            filt = BitmapFilter(scale.bitmap_config(), medium_trace.protected)
+            filt = BitmapFilter(scale.filter_config(), medium_trace.protected)
             assert filt._tel is not None
 
     def test_batch_noop_within_budget(self, benchmark, scale, medium_trace):

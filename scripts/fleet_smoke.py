@@ -7,8 +7,8 @@ operator would:
 1. ``repro route`` — consistent-hash shares for 3 nodes and the minimal
    remap proof when one is dropped.
 2. ``repro replay-to --fleet 3 --verify`` — a healthy 3-daemon fleet
-   must produce verdicts byte-identical to a single-filter offline
-   replay.
+   must produce verdicts byte-identical to per-node offline twins
+   (each node's share of the trace through a filter of its own).
 3. ``repro replay-to --fleet 3 --kill-node 1 --verify`` — SIGKILL one
    daemon mid-replay; the run must complete (no client hangs) and report
    DEGRADED-CONSISTENT: divergence confined to the dead node's flows and
@@ -17,8 +17,8 @@ operator would:
 With ``--reconfig`` (CI runs this), two more zero-downtime checks:
 
 4. ``repro replay-to --fleet 3 --reconfig-order 13 --verify`` — a
-   rolling geometry rebuild mid-replay must stay byte-identical to an
-   offline filter rebuilding at the same shared boundary.
+   rolling geometry rebuild mid-replay must stay byte-identical to
+   per-node offline twins rebuilding at the same shared boundary.
 5. ``repro replay-to --fleet 3 --add-node --verify`` — scaling out
    under load must serve the arrival warm from the snapshot store
    (nonzero restored arrivals) and at worst report DEGRADED-CONSISTENT.
@@ -95,7 +95,7 @@ def main() -> None:
 
     out = run_cli("replay-to", str(trace_path), "--fleet", "3", "--verify")
     if "verify: OK" not in out:
-        fail("healthy fleet did not match the offline replay")
+        fail("healthy fleet did not match its per-node offline twins")
 
     out = run_cli("replay-to", str(trace_path), "--fleet", "3",
                   "--kill-node", "1", "--kill-at", "0.5", "--verify")

@@ -336,25 +336,28 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
 
     ``--fleet N`` spawns an ephemeral N-daemon fleet (packet clock, so
     verdicts are deterministic); ``--fleet-nodes`` targets a running one.
-    ``--verify`` proves fleet verdicts byte-identical to a single-filter
-    offline replay while healthy; with ``--kill-node I`` a daemon is
-    SIGKILLed mid-replay and the check becomes: divergence confined to
-    the dead node's flows, every diverged verdict equal to the fail
-    policy's answer, and zero client hangs.
+    ``--verify`` proves fleet verdicts byte-identical to per-node offline
+    twins (:func:`_node_twins`) while healthy; with ``--kill-node I`` a
+    daemon is SIGKILLed mid-replay and the check becomes: divergence
+    confined to the dead node's flows, every diverged verdict equal to
+    the fail policy's answer, and zero client hangs.
 
     ``--reconfig-order N`` runs a **rolling geometry reconfig**
-    mid-replay (``FleetManager.rolling_reconfig``): the verify twin
+    mid-replay (``FleetManager.rolling_reconfig``): each node's twin
     becomes ``run_filter_with_reconfig`` rebuilding at the same shared
     boundary, and the check stays byte-identity.  ``--add-node`` scales
     the fleet out by one store-pre-warmed node mid-replay: the check is
-    divergence confined to the arrival's stolen share, plus a nonzero
-    ``restored_arrivals`` in its ``/healthz`` (proof it served warm).
+    divergence from one filter over the whole trace confined to the
+    arrival's stolen share, plus a nonzero ``restored_arrivals`` in its
+    ``/healthz`` (proof it served warm).
     """
     import tempfile
     import time as _time
+    from dataclasses import replace
 
     import numpy as np
 
+    from repro.core.bitmap_filter import FilterConfig
     from repro.core.resilience import FailPolicy
     from repro.fleet import FleetManager, FleetRouter, NodeSpec, policy_verdicts
     from repro.serve.retry import RetryPolicy
@@ -415,18 +418,14 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
                            if (reconfig or add_node) else len(frames))
             reconfig_report = None
             add_report = None
-            old_fcfg = dict(info["filter"])
-            old_fcfg.pop("fail_policy")
+            old_config = FilterConfig.from_dict(info["filter"])
             began = _time.perf_counter()
             if reconfig or add_node:
                 masks = router.filter_batches(frames[:event_frame],
                                               window=args.window)
                 if reconfig:
-                    from repro.core.bitmap_filter import FilterConfig
-
-                    new_fcfg = dict(old_fcfg, order=reconfig)
                     reconfig_report = manager.rolling_reconfig(
-                        FilterConfig(**new_fcfg, fail_policy=fail_policy))
+                        replace(old_config, order=reconfig))
                 else:
                     add_report = manager.add_node(router)
                 masks += router.filter_batches(frames[event_frame:],
@@ -478,19 +477,19 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
                     "(clock=wall); run them with --clock packet to verify")
                 return "\n".join(lines)
             if reconfig_report is not None:
-                from repro.core.bitmap_filter import FilterConfig
                 from repro.sim.pipeline import run_filter_with_reconfig
 
-                reference = np.asarray(run_filter_with_reconfig(
-                    FilterConfig(**old_fcfg, fail_policy=fail_policy),
-                    reconfig_report.config,
-                    Trace(packets, trace.protected),
-                    reconfig_report.rebuild_at), dtype=bool)
+                reference = _node_twins(
+                    owner_names, packets,
+                    lambda share: run_filter_with_reconfig(
+                        old_config, reconfig_report.config,
+                        Trace(share, trace.protected),
+                        reconfig_report.rebuild_at))
                 if np.array_equal(verdicts, reference):
                     lines.append(
                         f"verify: OK — {len(verdicts)} fleet verdicts "
-                        "byte-identical to offline replay through the "
-                        "rolling reconfig (rebuild at shared boundary "
+                        "byte-identical to per-node offline twins through "
+                        "the rolling reconfig (rebuild at shared boundary "
                         f"t={reconfig_report.rebuild_at:g})")
                 else:
                     diff = int((verdicts != reference).sum())
@@ -499,8 +498,11 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
                                  "rolling reconfig")
                     raise SystemExit("\n".join(lines))
                 return "\n".join(lines)
-            reference = _offline_reference(info, packets)
             if add_report is not None:
+                # The ring gains a node mid-stream, so no fixed split of
+                # the trace matches the fleet: compare with one filter
+                # over the whole trace instead of per-node twins.
+                reference = _offline_reference(info, packets)
                 cut = sum(len(frame) for frame in frames[:event_frame])
                 diverged = np.flatnonzero(verdicts != reference)
                 foreign = [i for i in diverged
@@ -515,19 +517,26 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
                 if diverged.size == 0:
                     lines.append(
                         f"verify: OK — {len(verdicts)} verdicts identical "
-                        "to offline replay straight through the scale-out")
+                        "to single-filter offline replay straight through "
+                        "the scale-out (the ring changed mid-stream, so "
+                        "there are no fixed per-node twins)")
                 else:
                     lines.append(
                         f"verify: DEGRADED-CONSISTENT — {len(diverged)} "
                         "verdicts diverged, all on the stolen share "
                         f"{add_report.spec.name} now owns (warm-started "
-                        "state approximates the donors' marks)")
+                        "state approximates the donors' marks; checked "
+                        "against single-filter offline replay, since the "
+                        "ring changed mid-stream)")
                 return "\n".join(lines)
+            reference = _node_twins(
+                owner_names, packets,
+                lambda share: _offline_reference(info, share))
             if kill_name is None:
                 if np.array_equal(verdicts, reference):
                     lines.append(
                         f"verify: OK — {len(verdicts)} fleet verdicts "
-                        "byte-identical to single-filter offline replay")
+                        "byte-identical to per-node offline twins")
                 else:
                     diff = int((verdicts != reference).sum())
                     lines.append(f"verify: MISMATCH on {diff} of "
@@ -569,20 +578,37 @@ def _offline_reference(info: dict, packets) -> "np.ndarray":
 
     from repro.core.bitmap_filter import FilterConfig
     from repro.core.filter_api import build_filter
-    from repro.core.resilience import FailPolicy
     from repro.net.address import AddressSpace
     from repro.sim.pipeline import run_filter_on_trace
     from repro.traffic.trace import Trace
 
-    # The self-description carries the whole stack (geometry + layers), so
-    # the twin reproduces a hybrid daemon's verification tier too.
-    fcfg = dict(info["filter"])
-    policy = FailPolicy(fcfg.pop("fail_policy"))
-    twin = build_filter(FilterConfig(**fcfg), AddressSpace(info["protected"]),
-                        fail_policy=policy)
-    offline = run_filter_on_trace(
-        twin, Trace(packets, AddressSpace(info["protected"])))
+    # The self-description carries the whole stack (geometry, fail policy
+    # and layers), so the twin reproduces a hybrid daemon's verification
+    # tier too.
+    protected = AddressSpace(info["protected"])
+    twin = build_filter(FilterConfig.from_dict(info["filter"]), protected)
+    offline = run_filter_on_trace(twin, Trace(packets, protected))
     return np.asarray(offline.verdicts, dtype=bool)
+
+
+def _node_twins(owners, packets, replay) -> "np.ndarray":
+    """Offline verdicts of a fleet, one twin per node.
+
+    ``replay`` takes one node's share of ``packets`` (``owners`` names the
+    ring owner of each packet; the share keeps trace order) and returns
+    its verdicts from a filter of its own, as on the node; the verdicts
+    are scattered back into trace order.  A node's bitmap holds only its
+    own flows' marks, so one filter over the whole trace collides more,
+    and admits differently, than the fleet does.
+    """
+    import numpy as np
+
+    owners = np.asarray(owners)
+    verdicts = np.zeros(len(packets), dtype=bool)
+    for node in np.unique(owners):
+        positions = np.flatnonzero(owners == node)
+        verdicts[positions] = replay(packets[positions])
+    return verdicts
 
 
 def _cmd_replay_to(args: argparse.Namespace) -> str:

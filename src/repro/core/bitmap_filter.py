@@ -21,20 +21,19 @@
   degraded-mode gauges, all behind a single ``is not None`` guard so the
   default (null-registry) hot path pays nothing.
 
-Construction accepts either the legacy positional
-:class:`BitmapFilterConfig`, the keyword-only :class:`FilterConfig` (which
-also carries fail policy and warm-up grace), or bare keyword fields::
+One frozen, keyword-only :class:`FilterConfig` holds every parameter, and
+there is one way to build a filter from it::
 
-    BitmapFilter(config, protected)                      # legacy, still fine
-    BitmapFilter.from_config(FilterConfig(order=16), protected)
-    BitmapFilter(protected=protected, order=16, rotation_interval=2.5)
+    BitmapFilter(FilterConfig(order=16, rotation_interval=2.5), protected)
+
+``config=None`` means :meth:`FilterConfig.paper_default`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from time import perf_counter
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -58,69 +57,38 @@ from repro.telemetry.registry import MetricsRegistry, get_registry
 
 __all__ = [
     "BitmapFilter",
-    "BitmapFilterConfig",
     "Decision",
     "FilterConfig",
     "FilterStats",
 ]
 
 
-@dataclass(frozen=True)
-class BitmapFilterConfig:
-    """Tunable parameters of a {k x n}-bitmap filter.
-
-    Defaults are the paper's evaluation setup (Section 4.3): a 512 KB
-    {4 x 20}-bitmap with 3 hash functions rotating every 5 seconds, i.e.
-    an expiry timer ``Te = k * dt = 20`` seconds.
-    """
-
-    order: int = 20              # n: each vector has 2**n bits
-    num_vectors: int = 4         # k: number of bloom-filter rows
-    num_hashes: int = 3          # m: hash functions
-    rotation_interval: float = 5.0  # dt seconds
-    seed: int = 0x5EED
-
-    def __post_init__(self) -> None:
-        if self.rotation_interval <= 0:
-            raise ValueError("rotation interval must be positive")
-        if self.num_hashes < 1:
-            raise ValueError("need at least one hash function")
-
-    @property
-    def expiry_timer(self) -> float:
-        """Te = k * dt — the nominal lifetime of a mark."""
-        return self.num_vectors * self.rotation_interval
-
-    @property
-    def guaranteed_window(self) -> float:
-        """(k-1) * dt — a mark is *guaranteed* visible for this long."""
-        return (self.num_vectors - 1) * self.rotation_interval
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.num_vectors * (1 << self.order) // 8
-
-    @classmethod
-    def paper_default(cls) -> "BitmapFilterConfig":
-        """The {4 x 20}-bitmap, m=3, dt=5 configuration of Section 4.3."""
-        return cls(order=20, num_vectors=4, num_hashes=3, rotation_interval=5.0)
-
-
 @dataclass(frozen=True, kw_only=True)
 class FilterConfig:
-    """Keyword-only construction config for a deployed bitmap filter.
+    """Every parameter of a deployed bitmap filter, in one frozen object.
 
     Bundles the bitmap geometry (k, n), hash family (m, seed), rotation
-    timing (Δt), and the *operational* knobs the plain
-    :class:`BitmapFilterConfig` never carried — fail policy and warm-up
-    grace — into one frozen object.  All fields are keyword-only, so call
-    sites name every parameter::
+    timing (Δt), and the *operational* fields — fail policy, warm-up grace
+    and the layer stack :func:`~repro.core.filter_api.build_filter` wraps
+    around the base filter.  Defaults are the paper's evaluation setup
+    (Section 4.3): a 512 KB {4 x 20}-bitmap with 3 hash functions rotating
+    every 5 seconds, i.e. an expiry timer ``Te = k * dt = 20`` seconds.
+    All fields are keyword-only, so call sites name every parameter::
 
         FilterConfig(order=16, num_vectors=4, rotation_interval=2.5,
                      fail_policy=FailPolicy.FAIL_OPEN, warmup_grace=10.0)
 
-    Feed it to :meth:`BitmapFilter.from_config` (or pass it anywhere a
-    ``BitmapFilterConfig`` was accepted before).
+    A :class:`BitmapFilter` honours the operational fields at construction
+    and then keeps, as its ``config``, this config with them reset to their
+    defaults: the live fail policy is ``filt.fail_policy``, the live grace
+    window ``filt.warmup_until`` and the live stack the wrappers around the
+    filter.  So ``filt.config`` names exactly the state a rebuild must
+    reproduce, and rebuilding from it never re-applies a stale grace
+    window or policy.
+
+    :meth:`as_dict` and :meth:`from_dict` are the JSON form (daemon
+    self-description, SIGHUP reload file); :meth:`geometry` is the part
+    of it a rebuild is keyed on.
     """
 
     order: int = 20              # n: each vector has 2**n bits
@@ -141,9 +109,37 @@ class FilterConfig:
             raise ValueError("warm-up grace cannot be negative")
         object.__setattr__(self, "layers", normalize_layers(self.layers))
 
-    def layer_dicts(self) -> list:
-        """JSON-safe forms of :attr:`layers` (for describe()/reload)."""
-        return [spec.as_dict() for spec in self.layers]
+    def as_dict(self) -> dict:
+        """The JSON form: every field in declaration order, ``fail_policy``
+        as its string value and ``layers`` as spec dicts."""
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data["fail_policy"] = self.fail_policy.value
+        data["layers"] = [spec.as_dict() for spec in self.layers]
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FilterConfig":
+        """Parse the JSON form (any subset of the fields; the rest default).
+
+        Raises :class:`ValueError` on a non-object or an unknown key.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("filter config must be a JSON object")
+        unknown = set(data) - {field.name for field in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown filter config fields: {sorted(unknown)}")
+        kwargs = dict(data)
+        if "fail_policy" in kwargs:
+            kwargs["fail_policy"] = FailPolicy(kwargs["fail_policy"])
+        return cls(**kwargs)
+
+    def geometry(self) -> dict:
+        """The JSON form of the fields a rebuild is keyed on: n, k, m, Δt,
+        seed and the layer stack.  Two configs with equal geometry differ
+        at most in fields a live filter can take without a rebuild."""
+        data = self.as_dict()
+        del data["fail_policy"], data["warmup_grace"]
+        return data
 
     @property
     def expiry_timer(self) -> float:
@@ -159,36 +155,10 @@ class FilterConfig:
     def memory_bytes(self) -> int:
         return self.num_vectors * (1 << self.order) // 8
 
-    def bitmap_config(self) -> BitmapFilterConfig:
-        """The plain bitmap-geometry view (what snapshots persist)."""
-        return BitmapFilterConfig(
-            order=self.order,
-            num_vectors=self.num_vectors,
-            num_hashes=self.num_hashes,
-            rotation_interval=self.rotation_interval,
-            seed=self.seed,
-        )
-
-    @classmethod
-    def from_bitmap_config(cls, config: BitmapFilterConfig,
-                           **extra) -> "FilterConfig":
-        """Lift a legacy :class:`BitmapFilterConfig` (plus operational extras)."""
-        return cls(
-            order=config.order,
-            num_vectors=config.num_vectors,
-            num_hashes=config.num_hashes,
-            rotation_interval=config.rotation_interval,
-            seed=config.seed,
-            **extra,
-        )
-
     @classmethod
     def paper_default(cls) -> "FilterConfig":
         """The {4 x 20}-bitmap, m=3, dt=5 configuration of Section 4.3."""
         return cls()
-
-
-AnyFilterConfig = Union[BitmapFilterConfig, FilterConfig]
 
 
 @dataclass
@@ -344,30 +314,25 @@ class BitmapFilter(PacketFilterMixin):
 
     def __init__(
         self,
-        config: Optional[AnyFilterConfig] = None,
+        config: Optional[FilterConfig] = None,
         protected: Optional[AddressSpace] = None,
         start_time: float = 0.0,
         apd: Optional[AdaptiveDroppingPolicy] = None,
         fail_policy: Optional[FailPolicy] = None,
         *,
         telemetry: Optional[MetricsRegistry] = None,
-        **config_fields,
     ):
         if protected is None:
             raise TypeError("BitmapFilter requires a protected AddressSpace")
         if config is None:
-            config = FilterConfig(**config_fields)
-        elif config_fields:
-            raise TypeError("pass either a config object or bare config "
-                            "fields, not both")
-        warmup_grace = 0.0
-        if isinstance(config, FilterConfig):
-            if fail_policy is None:
-                fail_policy = config.fail_policy
-            warmup_grace = config.warmup_grace
-            config = config.bitmap_config()
+            config = FilterConfig()
         if fail_policy is None:
-            fail_policy = FailPolicy.FAIL_CLOSED
+            fail_policy = config.fail_policy
+        warmup_grace = config.warmup_grace
+        # See FilterConfig: the filter keeps the geometry, not the
+        # operational fields it has just applied.
+        config = replace(config, fail_policy=FailPolicy.FAIL_CLOSED,
+                         warmup_grace=0.0, layers=())
 
         self.config = config
         self.protected = protected
@@ -385,21 +350,6 @@ class BitmapFilter(PacketFilterMixin):
         self._tel = _FilterInstruments(registry) if registry.enabled else None
         if warmup_grace > 0:
             self.begin_warmup(start_time + warmup_grace)
-
-    @classmethod
-    def from_config(
-        cls,
-        config: AnyFilterConfig,
-        protected: AddressSpace,
-        *,
-        start_time: float = 0.0,
-        apd: Optional[AdaptiveDroppingPolicy] = None,
-        telemetry: Optional[MetricsRegistry] = None,
-    ) -> "BitmapFilter":
-        """Build a filter from a :class:`FilterConfig` (fail policy and
-        warm-up grace included) or a plain :class:`BitmapFilterConfig`."""
-        return cls(config, protected, start_time=start_time, apd=apd,
-                   telemetry=telemetry)
 
     # -- time ---------------------------------------------------------------
 

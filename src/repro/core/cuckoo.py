@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -242,27 +242,24 @@ class CuckooFlowTable:
                     return True
         return False
 
-    def insert(self, lo: int, hi: int, ts: float,
-               gc_now: Optional[float] = None) -> None:
+    def insert(self, lo: int, hi: int, ts: float) -> None:
         """Insert or refresh the key with stamp ``ts``.
 
-        ``gc_now`` bounds garbage collection: entries are only reclaimed
-        (purged, dropped on grow, or treated as free slots) when expired
-        relative to ``gc_now`` rather than ``ts``.  Batch replays pass the
-        window start so an insert stamped late in a window can never evict
-        an entry that an earlier lookup in the same window still considers
-        live; the scalar path leaves it at the default (``ts``).
+        Garbage collection runs relative to ``ts``: entries expired at
+        ``ts`` are reclaimed (purged, dropped on grow, or treated as free
+        slots).
         """
-        gc_now = ts if gc_now is None else min(gc_now, ts)
         self.inserts += 1
-        self._insert(lo, hi, ts, gc_now)
+        self._insert(lo, hi, ts, ts)
         if self._occupied >= self._grow_at * self.capacity:
-            self._purge_expired(gc_now)
+            self._purge_expired(ts)
             if self._occupied >= self._grow_at * self.capacity:
-                self._grow(gc_now, cause="utilization")
+                self._grow(ts, cause="utilization")
 
-    def _insert(self, lo: int, hi: int, ts: float, gc_now: float) -> None:
-        cutoff = gc_now - self._lifetime
+    def _insert(self, lo: int, hi: int, ts: float, now: float) -> None:
+        """Place or refresh a key stamped ``ts``, reclaiming entries
+        expired at ``now`` (an insert's own stamp; a grow's rehash clock)."""
+        cutoff = now - self._lifetime
         b1, tag = self._bucket_and_tag(lo, hi)
         b2 = b1 ^ tag
         klo, khi, stamp = self._key_lo, self._key_hi, self._stamp
@@ -289,8 +286,8 @@ class CuckooFlowTable:
         # the stalest candidate slot (conservative: evicts the entry closest
         # to expiry).
         if self._order < self._max_order:
-            self._grow(gc_now, cause="pressure")
-            self._insert(lo, hi, ts, gc_now)
+            self._grow(now, cause="pressure")
+            self._insert(lo, hi, ts, now)
             return
         self.overwrites += 1
         rows = np.concatenate([stamp[b1], stamp[b2]])
@@ -373,8 +370,8 @@ class CuckooFlowTable:
         self.hits += int(found.sum())
         return found
 
-    def insert_batch(self, lo: np.ndarray, hi: np.ndarray, ts: np.ndarray,
-                     gc_now: Optional[float] = None) -> None:
+    def insert_batch(self, lo: np.ndarray, hi: np.ndarray,
+                     ts: np.ndarray) -> None:
         """Insert keys in array order, bit-identical to sequential
         :meth:`insert` calls (pinned by the batch/scalar digest-parity
         test).  In serving steady state almost every outgoing packet
@@ -383,11 +380,7 @@ class CuckooFlowTable:
         back to the scalar insert (which may kick or grow), after which the
         remaining run is re-resolved against the updated layout.  Batches
         dominated by new keys (flow churn, worm outbreaks) skip straight to
-        the scalar loop rather than re-resolving after every miss.
-
-        ``gc_now`` is forwarded to every :meth:`insert` — windowed replays
-        pass the window start so collection stays conservative across the
-        whole batch (see :meth:`insert`)."""
+        the scalar loop rather than re-resolving after every miss."""
         lo = np.ascontiguousarray(lo, dtype=np.uint64)
         hi = np.ascontiguousarray(hi, dtype=np.uint64)
         ts = np.ascontiguousarray(ts, dtype=np.float64)
@@ -403,7 +396,7 @@ class CuckooFlowTable:
                 # the vectorized refreshes below stay growth-neutral.
                 if self._occupied >= self._grow_at * self.capacity:
                     self.insert(int(lo[start]), int(hi[start]),
-                                float(ts[start]), gc_now)
+                                float(ts[start]))
                     start += 1
                     continue
                 rlo, rhi, rts = lo[start:end], hi[start:end], ts[start:end]
@@ -424,8 +417,7 @@ class CuckooFlowTable:
                 present = sel_b >= 0
                 if np.count_nonzero(present) * 2 < len(rlo):
                     for i in range(start, end):
-                        self.insert(int(lo[i]), int(hi[i]), float(ts[i]),
-                                    gc_now)
+                        self.insert(int(lo[i]), int(hi[i]), float(ts[i]))
                     start = end
                     break
                 misses = np.nonzero(~present)[0]
@@ -440,7 +432,7 @@ class CuckooFlowTable:
                     start += run
                 if run < len(rlo):
                     self.insert(int(lo[start]), int(hi[start]),
-                                float(ts[start]), gc_now)
+                                float(ts[start]))
                     start += 1
 
     # -- maintenance ------------------------------------------------------------

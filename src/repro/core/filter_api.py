@@ -177,11 +177,6 @@ def normalize_layers(layers) -> Tuple[object, ...]:
     return tuple(out)
 
 
-def layer_dicts(layers) -> list:
-    """JSON-safe ``as_dict()`` forms of a normalized layer stack."""
-    return [spec.as_dict() for spec in normalize_layers(layers)]
-
-
 _active_layers: Tuple[object, ...] = ()
 
 
@@ -224,7 +219,6 @@ def build_filter(
     telemetry=None,
     layers=None,
     snapshot=None,
-    **config_fields,
 ):
     """Build a filter stack: a bitmap filter wrapped by verification
     layers, optionally warm-started from a snapshot.
@@ -233,8 +227,10 @@ def build_filter(
     ----------
     config:
         A :class:`~repro.core.bitmap_filter.FilterConfig` (its
-        ``fail_policy``, ``warmup_grace`` and ``layers`` are honored), a
-        plain ``BitmapFilterConfig``, or None with bare ``**config_fields``.
+        ``fail_policy``, ``warmup_grace`` and ``layers`` are honored);
+        None means the paper default.
+    fail_policy:
+        Overrides ``config.fail_policy`` when given.
     layers:
         Layer stack override — kind names, spec dicts, or spec objects.
         Defaults to ``config.layers`` when non-empty, else the ambient
@@ -249,7 +245,7 @@ def build_filter(
     from repro.core.bitmap_filter import BitmapFilter
 
     if snapshot is not None:
-        if config is not None or protected is not None or config_fields:
+        if config is not None or protected is not None:
             raise TypeError("snapshot restore takes its config and protected "
                             "space from the snapshot; do not pass them")
         if apd is not None:
@@ -259,13 +255,12 @@ def build_filter(
                                     telemetry=telemetry, layers=layers)
 
     if layers is None:
-        config_layers = getattr(config, "layers", ()) if config is not None else ()
+        config_layers = config.layers if config is not None else ()
         layers = config_layers or get_layers()
     layers = normalize_layers(layers)
 
     filt = BitmapFilter(config, protected, start_time=start_time, apd=apd,
-                        fail_policy=fail_policy, telemetry=telemetry,
-                        **config_fields)
+                        fail_policy=fail_policy, telemetry=telemetry)
     return _apply_layers(filt, layers, telemetry=telemetry)
 
 

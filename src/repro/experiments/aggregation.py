@@ -120,17 +120,17 @@ def run_aggregation(scale: ExperimentScale = SMALL) -> AggregationResult:
         ))
 
     per_edge = FilterDeployment(topo)
-    per_edge.install("edgeA", ["netA"], scale.bitmap_config())
-    per_edge.install("edgeB", ["netB"], scale.bitmap_config())
+    per_edge.install("edgeA", ["netA"], scale.filter_config())
+    per_edge.install("edgeB", ["netB"], scale.filter_config())
     evaluate("per-edge (2 filters, n)", per_edge)
 
     aggregated = FilterDeployment(topo)
-    aggregated.install("core", ["netA", "netB"], scale.bitmap_config())
+    aggregated.install("core", ["netA", "netB"], scale.filter_config())
     evaluate("aggregated core (1 filter, n)", aggregated)
 
     bigger = FilterDeployment(topo)
     bigger.install("core", ["netA", "netB"],
-                   scale.bitmap_config(order=scale.bitmap_order + 1))
+                   scale.filter_config(order=scale.bitmap_order + 1))
     evaluate("aggregated core (1 filter, n+1)", bigger)
 
     return AggregationResult(outcomes=outcomes)

@@ -112,7 +112,7 @@ def _run_scenario(
         (p.src, p.sport, p.dst, p.dport, round(p.ts, 6))
         for p in (ftp_packets[i] for i in data_indices)
     }
-    filt = build_filter(scale.bitmap_config(), trace.protected)
+    filt = build_filter(scale.filter_config(), trace.protected)
     verdicts = filt.process_batch(mixed.packets)
 
     packets = mixed.packets

@@ -58,7 +58,7 @@ def run_fig4(
     if trace is None:
         trace = generate_trace(scale)
 
-    bitmap = build_filter(scale.bitmap_config(), trace.protected)
+    bitmap = build_filter(scale.filter_config(), trace.protected)
     bitmap_run = run_filter_on_trace(bitmap, trace)
 
     spi = HashListFilter(trace.protected, idle_timeout=scale.spi_idle_timeout)

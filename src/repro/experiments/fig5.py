@@ -76,7 +76,7 @@ def run_fig5(
         trace = generate_trace(scale)
     mixed = build_attack_trace(scale, trace)
 
-    filt = build_filter(scale.bitmap_config(), trace.protected)
+    filt = build_filter(scale.filter_config(), trace.protected)
 
     # Sample utilization mid-attack by splitting the run at the midpoint.
     midpoint = scale.attack_start + scale.attack_duration / 2.0

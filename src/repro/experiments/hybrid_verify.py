@@ -94,7 +94,7 @@ class HybridVerifyResult:
 
 def _scenario(label: str, order: int, scale: ExperimentScale,
               mixed: Trace) -> HybridScenario:
-    config = scale.bitmap_config(order=order)
+    config = scale.filter_config(order=order)
     bitmap = build_filter(config, mixed.protected)
     bitmap_run = run_filter_on_trace(bitmap, mixed)
 

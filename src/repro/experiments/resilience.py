@@ -115,7 +115,7 @@ def run_resilience(scale: ExperimentScale = SMALL) -> ResilienceResult:
     """Run every fault scenario against the attacked headline trace."""
     clean = generate_trace(scale)
     attacked = build_attack_trace(scale, clean)
-    config = scale.bitmap_config()
+    config = scale.filter_config()
     dt = scale.rotation_interval
     te = scale.expiry_timer
 

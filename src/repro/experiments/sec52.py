@@ -10,14 +10,14 @@ a larger bitmap (increase n) and a shorter expiry timer (reduce Te).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
 
 from repro.analysis.report import render_table
 from repro.attacks.insider import InsiderAttack
-from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.bitmap_filter import FilterConfig
 from repro.core.filter_api import build_filter
 from repro.core.parameters import insider_utilization_increase, penetration_probability
 from repro.experiments.config import MEDIUM, ExperimentScale
@@ -61,7 +61,7 @@ class Sec52Result:
 
 
 def _utilization_under(
-    config: BitmapFilterConfig,
+    config: FilterConfig,
     trace: Trace,
     sample_time: float,
 ) -> float:
@@ -99,9 +99,9 @@ def run_sec52(
 
     sample_time = scale.duration * 0.8
     scenarios: List[InsiderScenario] = []
-    baseline_cfg = scale.bitmap_config()
+    baseline_cfg = scale.filter_config()
 
-    def add_scenario(label: str, config: BitmapFilterConfig) -> None:
+    def add_scenario(label: str, config: FilterConfig) -> None:
         base_u = _utilization_under(config, trace, sample_time)
         attacked_u = _utilization_under(config, polluted, sample_time)
         te = config.expiry_timer
@@ -125,23 +125,12 @@ def run_sec52(
     add_scenario("baseline", baseline_cfg)
     add_scenario(
         "mitigation: larger bitmap (n+2)",
-        BitmapFilterConfig(
-            order=baseline_cfg.order + 2,
-            num_vectors=baseline_cfg.num_vectors,
-            num_hashes=baseline_cfg.num_hashes,
-            rotation_interval=baseline_cfg.rotation_interval,
-            seed=baseline_cfg.seed,
-        ),
+        replace(baseline_cfg, order=baseline_cfg.order + 2),
     )
     add_scenario(
         "mitigation: shorter Te (dt=1.25s, Te=5s)",
-        BitmapFilterConfig(
-            order=baseline_cfg.order,
-            num_vectors=baseline_cfg.num_vectors,
-            num_hashes=baseline_cfg.num_hashes,
-            rotation_interval=baseline_cfg.rotation_interval / 4.0,
-            seed=baseline_cfg.seed,
-        ),
+        replace(baseline_cfg,
+                rotation_interval=baseline_cfg.rotation_interval / 4.0),
     )
 
     return Sec52Result(attack_rate_pps=insider_rate_pps, scenarios=scenarios)

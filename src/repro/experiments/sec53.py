@@ -93,7 +93,7 @@ def _run_apd_phases(
     mixed = trace.merged_with(Trace(flood, trace.protected, {"duration": trace.duration}))
 
     apd = policy_factory()
-    filt = build_filter(scale.bitmap_config(), trace.protected, apd=apd)
+    filt = build_filter(scale.filter_config(), trace.protected, apd=apd)
 
     phases = {
         "before flood": ApdPhase("before flood", 0, 0),
@@ -180,7 +180,7 @@ def _ablation_penetration(
         seed=scale.seed,
         signal_policy=signal_policy,
     )
-    filt = build_filter(scale.bitmap_config(), trace.protected, apd=apd)
+    filt = build_filter(scale.filter_config(), trace.protected, apd=apd)
     passed = np.zeros(len(scan), dtype=bool)
     for i, pkt in enumerate(scan):
         passed[i] = filt.process(pkt) is Decision.PASS

@@ -76,7 +76,7 @@ def _evaluate(scale: ExperimentScale, trace: Trace, attack, scenario: str,
     packets = mixed.packets
     incoming = packets.directions(trace.protected) == 1
 
-    bitmap = build_filter(scale.bitmap_config(), trace.protected)
+    bitmap = build_filter(scale.filter_config(), trace.protected)
     bitmap_verdicts = bitmap.process_batch(packets)
     confusion, _ = score_run(packets, bitmap_verdicts, incoming, mixed.duration)
     outcomes.append(ScenarioOutcome(

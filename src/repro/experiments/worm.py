@@ -76,7 +76,7 @@ def run_worm(
         Trace(scans, trace.protected, {"duration": trace.duration})
     )
 
-    filt = build_filter(scale.bitmap_config(), trace.protected)
+    filt = build_filter(scale.filter_config(), trace.protected)
     run = run_filter_on_trace(filt, mixed)
 
     return WormResult(

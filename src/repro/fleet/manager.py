@@ -65,12 +65,6 @@ __all__ = ["AddNodeReport", "FleetManager", "ManagedNode", "ReconfigReport",
 
 _READY_PREFIX = "REPRO-SERVE READY "
 
-# Geometry fields echoed by the daemon's /healthz (both the live filter's
-# and, mid-reconfig, the pending one's) — the per-node confirmation
-# rolling_reconfig waits on.
-_GEOMETRY_FIELDS = ("order", "num_vectors", "num_hashes",
-                    "rotation_interval", "seed", "layers")
-
 
 class RollingReconfigError(RuntimeError):
     """A rolling reconfig stopped before reaching every node.
@@ -348,8 +342,10 @@ class FleetManager:
     # -- rolling reconfig -----------------------------------------------------
 
     @staticmethod
-    def _geometry_of(source: dict) -> dict:
-        return {key: source.get(key) for key in _GEOMETRY_FIELDS}
+    def _echoes(source: Optional[dict], target: dict) -> bool:
+        """Whether a /healthz filter object carries ``target``'s geometry."""
+        return source is not None and all(
+            source.get(key) == value for key, value in target.items())
 
     def rolling_reconfig(self, new_config: FilterConfig, *,
                          margin: int = 2,
@@ -385,14 +381,7 @@ class FleetManager:
         names = sorted(self._nodes)
         if not names:
             raise RuntimeError("fleet not started")
-        target = {
-            "order": new_config.order,
-            "num_vectors": new_config.num_vectors,
-            "num_hashes": new_config.num_hashes,
-            "rotation_interval": new_config.rotation_interval,
-            "seed": new_config.seed,
-            "layers": new_config.layer_dicts(),
-        }
+        target = new_config.geometry()
 
         # One boundary for the whole fleet: past every node's next
         # rotation, with margin rotations of slack so every SIGHUP lands
@@ -464,11 +453,10 @@ class FleetManager:
             except OSError:
                 health = None
             if health is not None:
-                if self._geometry_of(health.get("filter") or {}) == target:
+                if self._echoes(health.get("filter"), target):
                     return True  # already applied
-                pending = health.get("pending_geometry")
-                if pending_ok and pending is not None \
-                        and self._geometry_of(pending) == target:
+                if pending_ok and self._echoes(
+                        health.get("pending_geometry"), target):
                     return True
             if time.monotonic() >= deadline:
                 return False

@@ -56,7 +56,7 @@ import json
 import socket
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import monotonic, perf_counter
 from typing import Deque, Dict, List, Optional, Tuple
@@ -249,7 +249,7 @@ class FilterDaemon:
         if self.config.restore_path:
             self._filt = build_filter(snapshot=self.config.restore_path,
                                       telemetry=self.registry)
-            self._filter_config = FilterConfig.from_bitmap_config(
+            self._filter_config = replace(
                 self._filt.config, fail_policy=self._filt.fail_policy,
                 layers=getattr(self._filt, "layers", ()))
             # How much state the warm start actually carried: a fleet
@@ -585,7 +585,7 @@ class FilterDaemon:
             rebuild_at = None
             if isinstance(data, dict) and "rebuild_at" in data:
                 rebuild_at = float(data.pop("rebuild_at"))
-            new_config = _parse_filter_config(data)
+            new_config = FilterConfig.from_dict(data)
         except (OSError, ValueError, TypeError) as exc:
             print(f"repro-serve: reload failed: {exc}", file=sys.stderr)
             return
@@ -608,12 +608,7 @@ class FilterDaemon:
         byte-identical).  It should be a rotation boundary; the default
         is this filter's own next rotation.
         """
-        current = self._filter_config
-        geometry_changed = any(
-            getattr(new_config, name) != getattr(current, name)
-            for name in ("order", "num_vectors", "num_hashes",
-                         "rotation_interval", "seed", "layers"))
-        if not geometry_changed:
+        if new_config.geometry() == self._filter_config.geometry():
             if new_config.fail_policy is not self._filt.fail_policy:
                 self._filt.set_fail_policy(new_config.fail_policy)
                 self._filter_config = new_config
@@ -670,17 +665,9 @@ class FilterDaemon:
 
     def describe(self) -> dict:
         """The FT_CONFIG payload: enough to build this filter's offline twin."""
-        cfg = self._filter_config
         return {
-            "filter": {
-                "order": cfg.order,
-                "num_vectors": cfg.num_vectors,
-                "num_hashes": cfg.num_hashes,
-                "rotation_interval": cfg.rotation_interval,
-                "seed": cfg.seed,
-                "fail_policy": self._filt.fail_policy.value,
-                "layers": cfg.layer_dicts(),
-            },
+            "filter": {**self._filter_config.geometry(),
+                       "fail_policy": self._filt.fail_policy.value},
             "protected": [str(net) for net in self.config.protected.networks],
             "clock": self.config.clock,
             "backpressure": self.config.backpressure,
@@ -724,7 +711,7 @@ class FilterDaemon:
             # Echo of an accepted-but-deferred geometry: a rolling
             # reconfig driver polls these to confirm a node took the new
             # config (and at which shared boundary) before moving on.
-            "pending_geometry": _geometry_dict(pending) if pending else None,
+            "pending_geometry": pending.geometry() if pending else None,
             "pending_rebuild_at": (self._rebuild_at
                                    if pending is not None else None),
             "restored": bool(self.config.restore_path),
@@ -748,30 +735,3 @@ class FilterDaemon:
         self._m.snapshots_total.inc()
         return data
 
-
-def _geometry_dict(cfg: FilterConfig) -> dict:
-    """The geometry half of a config (the fields a rebuild is keyed on)."""
-    return {
-        "order": cfg.order,
-        "num_vectors": cfg.num_vectors,
-        "num_hashes": cfg.num_hashes,
-        "rotation_interval": cfg.rotation_interval,
-        "seed": cfg.seed,
-        "layers": cfg.layer_dicts(),
-    }
-
-
-def _parse_filter_config(data: dict) -> FilterConfig:
-    """A :class:`FilterConfig` from the reload file's JSON object."""
-    if not isinstance(data, dict):
-        raise ValueError("reload config must be a JSON object")
-    fields = dict(data)
-    policy = fields.pop("fail_policy", None)
-    known = {"order", "num_vectors", "num_hashes", "rotation_interval",
-             "seed", "warmup_grace", "layers"}
-    unknown = set(fields) - known
-    if unknown:
-        raise ValueError(f"unknown filter config fields: {sorted(unknown)}")
-    if policy is not None:
-        fields["fail_policy"] = FailPolicy(policy)
-    return FilterConfig(**fields)

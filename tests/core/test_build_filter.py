@@ -12,15 +12,10 @@ import io
 import numpy as np
 import pytest
 
-from repro.core.bitmap_filter import (
-    BitmapFilter,
-    BitmapFilterConfig,
-    FilterConfig,
-)
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.core.filter_api import (
     build_filter,
     get_layers,
-    layer_dicts,
     normalize_layers,
     use_layers,
 )
@@ -30,8 +25,8 @@ from repro.core.resilience import FailPolicy
 from tests.conftest import make_reply, make_request
 
 
-CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                            rotation_interval=5.0)
+CONFIG = FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                      rotation_interval=5.0)
 
 
 class TestNormalizeLayers:
@@ -45,7 +40,7 @@ class TestNormalizeLayers:
 
     def test_dict_form_round_trips(self):
         spec = VerifySpec(initial_order=6, scope=("172.16.0.0/24",))
-        rebuilt = normalize_layers(layer_dicts((spec,)))
+        rebuilt = normalize_layers([spec.as_dict()])
         assert rebuilt == (spec,)
 
     def test_spec_objects_pass_through(self):
@@ -99,9 +94,10 @@ class TestLayerResolution:
         assert filt.table.order == 6
         assert filt.table.lifetime == 7.0
 
-    def test_fail_policy_and_config_fields(self, protected):
-        filt = build_filter(protected=protected, order=12,
-                            rotation_interval=2.0,
+    def test_fail_policy_argument_overrides_config(self, protected):
+        config = FilterConfig(order=12, rotation_interval=2.0,
+                              fail_policy=FailPolicy.FAIL_CLOSED)
+        filt = build_filter(config, protected,
                             fail_policy=FailPolicy.FAIL_OPEN,
                             layers=("verify",))
         assert filt.fail_policy is FailPolicy.FAIL_OPEN

@@ -3,7 +3,7 @@
 The table's one-line contract: a key inserted at ``t`` is found by any
 lookup in ``[t, t + lifetime)`` and by none after, exactly — no false
 positives ever, no false negatives while live.  Everything else here
-(growth, kicking, the ``gc_now`` clock, snapshots) exists to keep that
+(growth, kicking, the garbage-collection clock, snapshots) exists to keep that
 contract under pressure.
 """
 
@@ -146,24 +146,7 @@ class TestGrowthAndPressure:
 
 
 class TestGcClock:
-    def test_late_stamp_does_not_evict_live_entries(self):
-        """A batch replay inserts with stamps far in the future of the
-        lookups still pending for the same window; ``gc_now`` pins the
-        collection clock so those lookups still see their entries."""
-        table = CuckooFlowTable(order=2, slots_per_bucket=1, lifetime=5.0,
-                                max_order=8, grow_at=1.0)
-        early = [key(i) for i in range(6)]
-        for lo, hi in early:
-            table.insert(lo, hi, 0.0, gc_now=0.0)
-        # Late-stamped inserts, GC clock held at the window start: nothing
-        # live at t=0 may be reclaimed to make room.
-        for i in range(6, 40):
-            lo, hi = key(i)
-            table.insert(lo, hi, 1000.0, gc_now=0.0)
-        for lo, hi in early:
-            assert table.contains(lo, hi, 0.1)
-
-    def test_default_gc_now_is_the_stamp(self):
+    def test_insert_collects_at_its_stamp(self):
         """Scalar inserts collect relative to their own timestamp — the
         entry inserted at t=0 with lifetime 5 is fair game at t=1000."""
         table = CuckooFlowTable(order=2, slots_per_bucket=1, lifetime=5.0,
@@ -178,16 +161,14 @@ class TestGcClock:
         assert table.occupancy <= table.capacity
         assert occupied_before <= table.capacity
 
-    def test_gc_now_never_exceeds_stamp(self):
-        """gc_now is clamped to min(gc_now, ts): passing a *later* clock
-        must not let an insert collect entries its own stamp considers
-        live."""
+    def test_insert_keeps_entries_live_at_its_stamp(self):
+        """An insert never collects an entry its own stamp considers live."""
         table = CuckooFlowTable(order=2, slots_per_bucket=1, lifetime=5.0,
                                 max_order=2, grow_at=1.0)
         lo0, hi0 = key(0)
         table.insert(lo0, hi0, 0.0)
         lo1, hi1 = key(1)
-        table.insert(lo1, hi1, 1.0, gc_now=1e6)   # clamped to ts=1.0
+        table.insert(lo1, hi1, 1.0)
         assert table.contains(lo0, hi0, 0.5)
 
 

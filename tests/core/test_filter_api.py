@@ -8,19 +8,14 @@ between its directional methods and the generic entry points.
 
 import json
 import warnings
-from dataclasses import FrozenInstanceError, asdict
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from repro.baselines.throttle import AggregateRateLimiter
-from repro.core.bitmap_filter import (
-    BitmapFilter,
-    BitmapFilterConfig,
-    Decision,
-    FilterConfig,
-)
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.core.close_aware import CloseAwareBitmapFilter
-from repro.core.filter_api import PacketFilter, PacketFilterMixin
+from repro.core.filter_api import PacketFilter, PacketFilterMixin, build_filter
 from repro.core.resilience import FailPolicy
 from repro.net.packet import PacketArray
 from repro.spi.avltree import AvlTreeFilter
@@ -146,38 +141,29 @@ class TestFilterConfig:
         with pytest.raises(ValueError):
             FilterConfig(warmup_grace=-1.0)
 
-    def test_round_trip_with_bitmap_config(self, small_config):
-        lifted = FilterConfig.from_bitmap_config(
-            small_config, fail_policy=FailPolicy.FAIL_OPEN, warmup_grace=7.5)
-        assert lifted.order == small_config.order
-        assert lifted.fail_policy is FailPolicy.FAIL_OPEN
-        assert lifted.bitmap_config() == small_config
-
-    def test_from_config_constructor(self, protected):
-        cfg = FilterConfig(order=12, num_vectors=4, rotation_interval=2.0,
-                           fail_policy=FailPolicy.FAIL_OPEN,
-                           warmup_grace=6.0)
-        filt = BitmapFilter.from_config(cfg, protected)
-        assert filt.fail_policy is FailPolicy.FAIL_OPEN
-        assert filt.in_warmup(5.9)
-        assert not filt.in_warmup(6.1)
-        # The stored config stays the plain persistable geometry view.
-        assert isinstance(filt.config, BitmapFilterConfig)
-        json.dumps(asdict(filt.config))  # persistence requires JSON-safe
-
-    def test_bare_field_construction(self, protected):
-        filt = BitmapFilter(protected=protected, order=12,
-                            rotation_interval=2.0)
-        assert filt.config.order == 12
-        assert filt.config.rotation_interval == 2.0
-
-    def test_config_object_plus_fields_rejected(self, small_config,
-                                                protected):
+    @pytest.mark.parametrize("config", [
+        FilterConfig(order=12, rotation_interval=2.0, warmup_grace=6.0),
+        FilterConfig(order=12, rotation_interval=2.0, warmup_grace=6.0,
+                     layers=("verify",)),
+        FilterConfig(order=12, rotation_interval=2.0, warmup_grace=6.0,
+                     fail_policy=FailPolicy.FAIL_OPEN),
+    ], ids=["plain", "verify", "fail_open"])
+    def test_one_config(self, config, protected):
+        # One JSON writer, one strict reader: the round trip is the identity.
+        data = json.loads(json.dumps(config.as_dict()))
+        assert FilterConfig.from_dict(data) == config
+        with pytest.raises(ValueError, match="hash_seed"):
+            FilterConfig.from_dict({**data, "hash_seed": 1})
+        # One constructor: BitmapFilter(config, protected), nothing else.
         with pytest.raises(TypeError):
-            BitmapFilter(small_config, protected, order=12)
-
-    def test_legacy_positional_config_still_works(self, small_config,
-                                                  protected):
-        filt = BitmapFilter(small_config, protected)
-        assert filt.config is small_config
-        assert filt.fail_policy is FailPolicy.FAIL_CLOSED
+            BitmapFilter(config, protected, order=config.order)
+        filt = build_filter(config, protected)
+        assert filt.fail_policy is config.fail_policy
+        assert filt.in_warmup(5.9) and not filt.in_warmup(6.1)
+        assert tuple(getattr(filt, "layers", ())) == config.layers
+        # The live filter keeps only the geometry; the operational fields
+        # it applied are reset, so a rebuild from filt.config re-opens no
+        # grace window and re-wraps no layer by itself.
+        assert filt.config == replace(
+            config, fail_policy=FailPolicy.FAIL_CLOSED, warmup_grace=0.0,
+            layers=())

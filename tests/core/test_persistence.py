@@ -1,5 +1,7 @@
 """Tests for repro.core.persistence — filter checkpoint/restore."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,25 @@ from repro.core.persistence import (
     save_filter,
 )
 from tests.conftest import make_reply, make_request
+
+#: The metadata of ``warmed_filter``'s snapshot.  Daemons and snapshot
+#: stores of different versions share this format, so it is pinned byte
+#: for byte (the JSON, not the archive: zlib output varies by build).
+PINNED_METADATA = (
+    '{"format_version": 2, "config": {"order": 12, "num_vectors": 4, '
+    '"num_hashes": 3, "rotation_interval": 5.0, "seed": 24301}, '
+    '"current_index": 0, "rotations": 4, "next_rotation": 25.0, '
+    '"stats": {"outgoing": 76, "incoming": 0, "incoming_dropped": 0, '
+    '"incoming_passed": 0, "internal": 0, "transit": 0, '
+    '"apd_admitted": 0, "marks_suppressed": 0, "rotations": 4, '
+    '"degraded_admitted": 0, "degraded_dropped": 0, '
+    '"warmup_admitted": 0, "unmarked_outgoing": 0}, '
+    '"protected_networks": ["172.16.0.0/24", "172.16.1.0/24", '
+    '"172.16.2.0/24", "172.16.3.0/24", "172.16.4.0/24", '
+    '"172.16.5.0/24"], "fail_policy": "fail_closed", '
+    '"vectors_sha256": '
+    '"227804bad8aa105dc3c6950b025108172048459508aba349a3772cbae220e9ee"}'
+)
 
 
 @pytest.fixture()
@@ -224,6 +245,15 @@ class TestErrors:
         np.savez_compressed(path, vectors=vectors, metadata=json.dumps(meta))
         with pytest.raises(ValueError):
             load_filter(path)
+
+
+class TestFormat:
+    def test_metadata_json_is_pinned(self, warmed_filter):
+        buffer = io.BytesIO()
+        save_filter(warmed_filter, buffer)
+        buffer.seek(0)
+        with np.load(buffer) as archive:
+            assert str(archive["metadata"]) == PINNED_METADATA
 
 
 class TestMidRunEquivalence:

@@ -32,7 +32,7 @@ class TestScales:
             assert scale.num_hashes == 3
 
     def test_bitmap_config_override(self):
-        cfg = SMALL.bitmap_config(order=10)
+        cfg = SMALL.filter_config(order=10)
         assert cfg.order == 10
         assert cfg.num_vectors == 4
 

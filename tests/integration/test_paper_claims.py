@@ -28,7 +28,7 @@ class TestAbstractClaims:
     def test_small_memory_filters_most_attack_traffic(self, fig5_result):
         """'with a small amount of memory (less than 1 megabyte), more than
         95% of attack traffic can be filtered out'"""
-        memory = SMALL.bitmap_config().memory_bytes
+        memory = SMALL.filter_config().memory_bytes
         assert memory < 1024 * 1024
         assert fig5_result.attack_filter_rate > 0.95
 
@@ -88,7 +88,7 @@ class TestMechanismClaims:
         from repro.experiments.fig2 import generate_trace
 
         trace = generate_trace(SMALL)
-        filt = BitmapFilter(SMALL.bitmap_config(), trace.protected)
+        filt = BitmapFilter(SMALL.filter_config(), trace.protected)
         verdicts = filt.process_batch(trace.packets)
         survivors = trace.packets[verdicts]
         before = composition(trace.packets, trace.protected)

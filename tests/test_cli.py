@@ -292,6 +292,49 @@ class TestFleetStatsDown:
         assert "node0" in str(excinfo.value)
 
 
+class TestFleetTwins:
+    """``replay-to --fleet --verify`` checks each node against a twin of
+    its own: a node's bitmap holds only its share's marks."""
+
+    def test_per_node_twins_not_one_filter(self):
+        import numpy as np
+
+        from repro.attacks.scanner import RandomScanAttack, ScanConfig
+        from repro.cli import _node_twins, _offline_reference
+        from repro.core.bitmap_filter import FilterConfig
+        from repro.core.filter_api import build_filter
+        from repro.fleet import FleetRouter, NodeSpec
+        from repro.traffic.generator import generate_client_trace
+        from repro.traffic.trace import Trace
+
+        clean = generate_client_trace(duration=30.0, target_pps=200.0, seed=3)
+        scan = RandomScanAttack(ScanConfig(rate_pps=1500.0, start=10.0,
+                                           duration=10.0, seed=5),
+                                clean.protected).generate()
+        trace = clean.merged_with(Trace(scan, clean.protected))
+        packets = trace.packets.sorted_by_time()
+        # n=8: a 256-bit vector per row, so marks collide often.
+        config = FilterConfig(order=8, rotation_interval=5.0)
+        info = {"filter": {**config.geometry(), "fail_policy": "fail_closed"},
+                "protected": [str(net) for net in trace.protected.networks]}
+        router = FleetRouter([NodeSpec("node0", "127.0.0.1", 1),
+                              NodeSpec("node1", "127.0.0.1", 2)],
+                             protected=trace.protected)
+        owners = np.asarray(router.owner_names(packets))
+
+        twins = _node_twins(owners, packets,
+                            lambda share: _offline_reference(info, share))
+
+        expected = np.zeros(len(packets), dtype=bool)
+        for node in ("node0", "node1"):
+            share = np.flatnonzero(owners == node)
+            assert share.size
+            expected[share] = build_filter(config, trace.protected) \
+                .process_batch(packets[share])
+        assert np.array_equal(twins, expected)
+        assert not np.array_equal(twins, _offline_reference(info, packets))
+
+
 class TestMultisiteCli:
     def test_runs_a_scenario_file_offline(self, capsys, tmp_path):
         scenario = tmp_path / "tiny.toml"
